@@ -25,14 +25,16 @@
 //                     [--max-latency-ms=T --out=BASE]
 //   p2pflctl wire     [--dim=D --n=N --k=K --seed=S] [--dump=KEY]
 //
-// Everything runs on the deterministic simulator; identical flags give
-// identical results. The one exception is `train --transport=tcp`,
-// which runs the full FedAvg system over real loopback TCP sockets
-// (net::tcp::TcpTransport) and cross-checks the per-round payload bytes
-// it measured on the wire against the paper's Eq. (4) closed form —
-// exit status 1 if they disagree. `trace` replays the recovery scenario with the
-// observability layer on and writes BASE.metrics.jsonl plus
-// BASE.trace.json (Chrome trace_event format; open in about://tracing).
+// Everything runs on the deterministic simulator, where identical flags
+// give identical results, unless `--transport=tcp` moves a `train` or
+// `chaos` run onto real loopback sockets (net::tcp::TcpTransport); any
+// other `--transport` value is a usage error. `train --transport=tcp`
+// runs the full FedAvg system and cross-checks the per-round payload
+// bytes it measured on the wire against the paper's Eq. (4) closed form
+// — exit status 1 if they disagree. `trace` replays the recovery
+// scenario with the observability layer on and writes
+// BASE.metrics.jsonl plus BASE.trace.json (Chrome trace_event format;
+// open in about://tracing).
 // `chaos` runs two-layer aggregation rounds under a scripted fault plan
 // (message loss, duplication, reordering, crash/restart churn and an
 // optional partition window) and checks that every committed round is
@@ -80,15 +82,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "analysis/cost_model.hpp"
 #include "bench/bench_util.hpp"
@@ -98,12 +97,11 @@
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
 #include "core/fl_experiment.hpp"
-#include "core/system.hpp"
+#include "core/scenario.hpp"
 #include "core/two_layer_raft.hpp"
 #include "core/wire.hpp"
 #include "fl/checkpoint.hpp"
 #include "net/codec.hpp"
-#include "net/tcp/tcp_transport.hpp"
 #include "raft/wire.hpp"
 #include "secagg/wire.hpp"
 
@@ -111,92 +109,75 @@ using namespace p2pfl;
 
 namespace {
 
+/// `--transport=sim|tcp` of `train` and `chaos` (default sim). Any
+/// other value is a usage error: prints it and returns nullopt (exit 2).
+std::optional<core::TransportKind> transport_flag(const bench::Args& args) {
+  const std::string transport = args.get("transport", "sim");
+  if (transport == "sim") return core::TransportKind::kSim;
+  if (transport == "tcp") return core::TransportKind::kTcp;
+  std::fprintf(stderr, "unknown transport '%s' (sim|tcp)\n",
+               transport.c_str());
+  return std::nullopt;
+}
+
+/// `--peers`, `--groups` and `--seed`, with a subcommand's defaults.
+core::ScenarioSpec scenario_flags(const bench::Args& args, long peers,
+                                  long groups, long seed) {
+  core::ScenarioSpec spec;
+  spec.peers = static_cast<std::size_t>(args.get_int("peers", peers));
+  spec.groups = static_cast<std::size_t>(args.get_int("groups", groups));
+  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", seed));
+  return spec;
+}
+
+/// TCP runs need equal subgroups; prints the usage error otherwise.
+bool tcp_shape_ok(const core::ScenarioSpec& spec) {
+  if (spec.groups != 0 && spec.peers % spec.groups == 0) return true;
+  std::fprintf(stderr, "tcp transport needs --peers divisible by --groups\n");
+  return false;
+}
+
 // `train --transport=tcp`: the same two-layer FedAvg system, but over
 // real loopback sockets. Every peer gets a listener, frames are the
 // canonical codec encodings, and the run cross-validates the measured
 // per-round payload bytes against Eq. (4) — the experiment that makes
 // the simulator's cost numbers trustworthy.
 int cmd_train_tcp(const bench::Args& args) {
-  const std::size_t peers = static_cast<std::size_t>(args.get_int("peers", 20));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 5));
   const std::size_t rounds =
       static_cast<std::size_t>(args.get_int("rounds", 10));
-  const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
-  if (groups == 0 || peers % groups != 0) {
-    std::fprintf(stderr, "tcp transport needs --peers divisible by --groups\n");
-    return 2;
-  }
-  const std::size_t n = peers / groups;
+  const core::ScenarioSpec spec = scenario_flags(args, 20, 5, 3);
+  if (!tcp_shape_ok(spec)) return 2;
+  const std::size_t n = spec.peers / spec.groups;
 
-  const core::Topology topo = core::Topology::even(peers, groups);
-  net::tcp::TcpTransport transport({.peers = topo.all_peers(), .seed = seed});
-  net::Network net(transport, {});
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts = fl::partition_iid(data.train, peers, data_rng);
-
-  core::SystemConfig cfg;
-  // Real-clock profile: training runs synchronously on the transport's
-  // loop thread, so election timeouts must sit well above the longest
-  // stall, and protocol retry timers far above loopback latency (on a
-  // clean local wire a retry would only distort the cost measurement).
-  cfg.raft.raft.election_timeout_min = 1 * kSecond;
-  cfg.raft.raft.election_timeout_max = 2 * kSecond;
-  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 50 * kMillisecond;
-  cfg.agg.collect_timeout = 60 * kSecond;
-  cfg.agg.sac_share_timeout = 20 * kSecond;
-  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-  cfg.agg.upload_retry = 60 * kSecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = seed;
-  core::P2pFlSystem sys(topo, cfg, net, data.train, data.test, parts,
-                        [] { return fl::Model::mlp(64, {16}); });
-
-  std::mutex mu;
+  core::Testbed bed(core::TransportKind::kTcp, spec);
+  core::Scenario scenario(spec, core::SystemConfig::real_clock_profile(),
+                          bed.net());
+  core::P2pFlSystem& sys = scenario.sys();
   std::vector<std::uint64_t> payload_at_round;  // sent.payload snapshots
   sys.on_round_complete = [&](std::uint64_t, const secagg::Vector&,
                               std::size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    payload_at_round.push_back(net.stats().sent.payload);
+    payload_at_round.push_back(bed.net().stats().sent.payload);
   };
 
-  transport.start();
+  bed.start();
   std::printf("training over TCP: %zu peers in %zu subgroups of %zu, "
               "%zu rounds (loopback ports %u..%u)\n",
-              peers, groups, n, rounds, transport.port_of(0),
-              transport.port_of(static_cast<PeerId>(peers - 1)));
-  transport.call([&] { sys.start(); });
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30 + 3 * rounds);
-  for (;;) {
-    std::size_t done;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = payload_at_round.size();
-    }
-    if (done >= rounds + 1) break;
-    if (std::chrono::steady_clock::now() > deadline) {
-      transport.shutdown();
-      std::fprintf(stderr, "timed out after %zu completed rounds\n", done);
-      return 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+              spec.peers, spec.groups, n, rounds, bed.tcp()->port_of(0),
+              bed.tcp()->port_of(static_cast<PeerId>(spec.peers - 1)));
+  bed.call([&] { sys.start(); });
+  const bool done =
+      bed.run_until([&] { return payload_at_round.size() >= rounds + 1; },
+                    static_cast<SimDuration>(30 + 3 * rounds) * kSecond);
+  bed.shutdown();
+  if (!done) {
+    std::fprintf(stderr, "timed out after %zu completed rounds\n",
+                 payload_at_round.size());
+    return 1;
   }
-  transport.shutdown();
 
   const std::size_t dim = sys.global_model_at(0).size();
   const std::uint64_t w = 4 * static_cast<std::uint64_t>(dim);
-  const double expected = analysis::two_layer_cost_eq4(groups, n);
+  const double expected = analysis::two_layer_cost_eq4(spec.groups, n);
   bool all_exact = true;
   for (std::size_t r = 1; r < payload_at_round.size() && r <= rounds; ++r) {
     const std::uint64_t delta = payload_at_round[r] - payload_at_round[r - 1];
@@ -208,25 +189,22 @@ int cmd_train_tcp(const bench::Args& args) {
                 exact ? "exact" : "MISMATCH");
   }
   const auto ev = sys.evaluate_global();
+  const net::tcp::TcpTransport& tcp = *bed.tcp();
   std::printf("final: %.2f%% accuracy after %zu rounds; raw wire %llu B "
               "sent / %llu B received over %llu frames\n",
               ev.accuracy * 100.0, sys.rounds_completed(),
-              static_cast<unsigned long long>(transport.raw_bytes_sent()),
-              static_cast<unsigned long long>(transport.raw_bytes_received()),
-              static_cast<unsigned long long>(transport.frames_sent()));
+              static_cast<unsigned long long>(tcp.raw_bytes_sent()),
+              static_cast<unsigned long long>(tcp.raw_bytes_received()),
+              static_cast<unsigned long long>(tcp.frames_sent()));
   std::printf("per-round payload %s the Eq. (4) closed form (%.1f |w|)\n",
               all_exact ? "matches" : "DOES NOT match", expected);
   return all_exact ? 0 : 1;
 }
 
 int cmd_train(const bench::Args& args) {
-  const std::string transport = args.get("transport", "sim");
-  if (transport == "tcp") return cmd_train_tcp(args);
-  if (transport != "sim") {
-    std::fprintf(stderr, "unknown transport '%s' (sim|tcp)\n",
-                 transport.c_str());
-    return 2;
-  }
+  const std::optional<core::TransportKind> transport = transport_flag(args);
+  if (!transport) return 2;
+  if (*transport == core::TransportKind::kTcp) return cmd_train_tcp(args);
   core::FlExperimentConfig cfg;
   cfg.peers = static_cast<std::size_t>(args.get_int("peers", 10));
   cfg.subgroups = static_cast<std::size_t>(args.get_int("groups", 0));
@@ -298,14 +276,12 @@ int cmd_cost(const bench::Args& args) {
 }
 
 int cmd_recovery(const bench::Args& args, bool traced = false) {
-  const std::size_t peers =
-      static_cast<std::size_t>(args.get_int("peers", 25));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 5));
+  const core::ScenarioSpec spec = scenario_flags(args, 25, 5, 1);
   const SimDuration T = args.get_int("timeout-ms", 150) * kMillisecond;
   const bool crash_fed = args.get("crash", "sub") == "fed";
 
-  sim::Simulator sim(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  core::Testbed bed(core::TransportKind::kSim, spec);
+  sim::Simulator& sim = *bed.sim();
   if (traced) {
     sim.obs().trace.set_enabled(true);
     // --categories=net,raft limits the stream; default records all.
@@ -316,12 +292,11 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
       cats = comma == std::string::npos ? "" : cats.substr(comma + 1);
     }
   }
-  net::Network net(sim, {.base_latency = 15 * kMillisecond});
   core::TwoLayerRaftOptions opts;
   opts.raft.election_timeout_min = T;
   opts.raft.election_timeout_max = 2 * T;
-  core::TwoLayerRaftSystem sys(core::Topology::even(peers, groups), opts,
-                               net);
+  core::TwoLayerRaftSystem sys(core::Topology::even(spec.peers, spec.groups),
+                               opts, bed.net());
   sys.on_subgroup_leader = [&](SubgroupId g, PeerId p) {
     std::printf("[%7.0fms] subgroup %u elected peer %u\n", to_ms(sim.now()),
                 g, p);
@@ -334,18 +309,16 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
     std::printf("[%7.0fms] peer %u (re)joined the FedAvg layer\n",
                 to_ms(sim.now()), p);
   };
+  const auto stabilized = [&] { return sys.stabilized(); };
   sys.start_all();
-  while (!sys.stabilized() && sim.now() < 30 * kSecond) {
-    sim.run_for(20 * kMillisecond);
-  }
-  if (!sys.stabilized()) {
+  if (!bed.run_until(stabilized, 30 * kSecond, 20 * kMillisecond)) {
     std::printf("failed to stabilize\n");
     return 1;
   }
   const PeerId fed = sys.fedavg_leader();
   PeerId victim = fed;
   if (!crash_fed) {
-    for (SubgroupId g = 0; g < groups; ++g) {
+    for (SubgroupId g = 0; g < spec.groups; ++g) {
       if (sys.subgroup_leader(g) != fed) {
         victim = sys.subgroup_leader(g);
         break;
@@ -357,9 +330,7 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
               victim);
   const SimTime t0 = sim.now();
   sys.crash_peer(victim);
-  while (!sys.stabilized() && sim.now() < t0 + 60 * kSecond) {
-    sim.run_for(20 * kMillisecond);
-  }
+  bed.run_until(stabilized, 60 * kSecond, 20 * kMillisecond);
   std::printf("[%7.0fms] system stable again — recovery took %.0f ms\n",
               to_ms(sim.now()), to_ms(sim.now() - t0));
   if (traced) {
@@ -437,19 +408,11 @@ void health_report_json(bench::JsonWriter& w, const core::HealthReport& hr) {
   w.array_end();
 }
 
-bool fully_healed(const core::HealthReport& hr) {
-  if (hr.fedavg_leader == kNoPeer) return false;
-  for (const core::SubgroupHealth& h : hr.subgroups) {
-    if (h.leader == kNoPeer || h.parked) return false;
-    if (!h.suspected.empty() || !h.evicted.empty()) return false;
-    // The FedAvg layer is representative-based: every subgroup's leader
-    // must hold a seat there.
-    if (std::find(hr.fedavg_members.begin(), hr.fedavg_members.end(),
-                  h.leader) == hr.fedavg_members.end()) {
-      return false;
-    }
-  }
-  return true;
+/// Whether `victim` is out of its subgroup's configuration.
+bool evicted(const core::TwoLayerRaftSystem& sys, PeerId victim) {
+  const core::HealthReport hr = sys.health();
+  const auto& ev = hr.subgroups[sys.topology().subgroup_of(victim)].evicted;
+  return std::find(ev.begin(), ev.end(), victim) != ev.end();
 }
 
 /// Delete every regular file in `dir` (the flat layout raft::WalStorage
@@ -493,10 +456,7 @@ void durability_metrics_json(bench::JsonWriter& w,
 }
 
 int cmd_health(const bench::Args& args) {
-  const std::size_t peers =
-      static_cast<std::size_t>(args.get_int("peers", 12));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 3));
+  const core::ScenarioSpec spec = scenario_flags(args, 12, 3, 1);
   const SimDuration T = args.get_int("timeout-ms", 100) * kMillisecond;
   const std::size_t tolerance =
       static_cast<std::size_t>(args.get_int("tolerance", 1));
@@ -504,8 +464,8 @@ int cmd_health(const bench::Args& args) {
   const bool json = args.has("json");
   const bool wal = args.has("wal");
 
-  sim::Simulator sim(static_cast<std::uint64_t>(args.get_int("seed", 1)));
-  net::Network net(sim, {.base_latency = 15 * kMillisecond});
+  core::Testbed bed(core::TransportKind::kSim, spec);
+  const sim::Simulator& sim = *bed.sim();
   core::TwoLayerRaftOptions opts;
   opts.raft.election_timeout_min = T;
   opts.raft.election_timeout_max = 2 * T;
@@ -518,8 +478,8 @@ int cmd_health(const bench::Args& args) {
     wipe_wal_dir(dir);
     opts.storage_dir = dir;
   }
-  core::TwoLayerRaftSystem sys(core::Topology::even(peers, groups), opts,
-                               net);
+  core::TwoLayerRaftSystem sys(core::Topology::even(spec.peers, spec.groups),
+                               opts, bed.net());
 
   PeerId victim = kNoPeer;
   double evict_ms = -1.0;
@@ -529,8 +489,8 @@ int cmd_health(const bench::Args& args) {
   auto verdict = [&](const char* stage, bool ok) {
     if (!json) return ok ? 0 : 1;
     bench::JsonWriter w = bench::bench_document("p2pflctl_health");
-    w.field_u64("peers", peers)
-        .field_u64("groups", groups)
+    w.field_u64("peers", spec.peers)
+        .field_u64("groups", spec.groups)
         .field_bool("amnesia", amnesia)
         .field_bool("wal", wal)
         .key("victim");
@@ -553,10 +513,8 @@ int cmd_health(const bench::Args& args) {
   };
 
   sys.start_all();
-  while (!sys.stabilized() && sim.now() < 30 * kSecond) {
-    sim.run_for(20 * kMillisecond);
-  }
-  if (!sys.stabilized()) {
+  if (!bed.run_until([&] { return sys.stabilized(); }, 30 * kSecond,
+                     20 * kMillisecond)) {
     if (!json) std::printf("failed to stabilize\n");
     return verdict("stabilize", false);
   }
@@ -566,31 +524,15 @@ int cmd_health(const bench::Args& args) {
   }
 
   // Crash a pure subgroup follower so both layers must notice and evict.
-  for (PeerId p : sys.topology().all_peers()) {
-    bool leads = p == sys.fedavg_leader();
-    for (SubgroupId g = 0; g < groups; ++g) {
-      if (sys.subgroup_leader(g) == p) leads = true;
-    }
-    if (!leads) {
-      victim = p;
-      break;
-    }
-  }
+  victim = sys.pure_followers().at(0);
   if (!json) std::printf("\n--- crashing peer %u ---\n", victim);
   sys.crash_peer(victim);
   const SimTime t0 = sim.now();
-  auto evicted = [&] {
-    const core::HealthReport hr = sys.health(tolerance);
-    const SubgroupId g = sys.topology().subgroup_of(victim);
-    const auto& ev = hr.subgroups[g].evicted;
-    return std::find(ev.begin(), ev.end(), victim) != ev.end();
-  };
-  while (!evicted() && sim.now() < t0 + 60 * kSecond) {
-    sim.run_for(50 * kMillisecond);
-  }
+  const bool was_evicted = bed.run_until(
+      [&] { return evicted(sys, victim); }, 60 * kSecond, 50 * kMillisecond);
   evict_ms = to_ms(sim.now() - t0);
   if (!json) print_health(sim, sys.health(tolerance));
-  if (!evicted()) {
+  if (!was_evicted) {
     if (!json) std::printf("peer %u was never evicted\n", victim);
     return verdict("evict", false);
   }
@@ -605,13 +547,10 @@ int cmd_health(const bench::Args& args) {
     sys.restart_peer(victim);
   }
   const SimTime t1 = sim.now();
-  while ((!sys.stabilized() || !fully_healed(sys.health(tolerance))) &&
-         sim.now() < t1 + 120 * kSecond) {
-    sim.run_for(50 * kMillisecond);
-  }
+  const bool healed = bed.run_until(
+      [&] { return sys.stabilized() && sys.health().fully_healed(); },
+      120 * kSecond, 50 * kMillisecond);
   heal_ms = to_ms(sim.now() - t1);
-  const bool healed =
-      sys.stabilized() && fully_healed(sys.health(tolerance));
   if (!json) {
     print_health(sim, sys.health(tolerance));
     std::printf("\nself-healing: %s (evict %.0f ms after crash, heal %.0f "
@@ -631,12 +570,6 @@ int cmd_health(const bench::Args& args) {
 }
 
 int cmd_attack(const bench::Args& args) {
-  const std::size_t peers =
-      static_cast<std::size_t>(args.get_int("peers", 12));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 3));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7));
   const SimDuration horizon = args.get_int("seconds", 90) * kSecond;
   const bool json = args.has("json");
 
@@ -661,41 +594,22 @@ int cmd_attack(const bench::Args& args) {
   const double loss = args.get_double(
       "loss", kind == robust::AttackKind::kEquivocate ? 0.15 : 0.0);
 
-  sim::Simulator sim(seed);
-  net::NetworkConfig nopts;
-  nopts.base_latency = 15 * kMillisecond;
-  nopts.faults.drop_prob = loss;
-  net::Network net(sim, nopts);
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts =
-      fl::partition_iid(data.train, peers, data_rng);
+  const core::ScenarioSpec spec = scenario_flags(args, 12, 3, 7);
+  core::Testbed bed(core::TransportKind::kSim, spec,
+                    {.faults = {.drop_prob = loss}});
+  const sim::Simulator& sim = *bed.sim();
+  const obs::MetricsRegistry& metrics = bed.net().obs().metrics;
 
   robust::ByzantineRegistry registry;
-  core::SystemConfig cfg;
-  cfg.raft.raft.election_timeout_min = 50 * kMillisecond;
-  cfg.raft.raft.election_timeout_max = 100 * kMillisecond;
-  cfg.raft.fedavg_presence_poll = 100 * kMillisecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 100 * kMillisecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = seed;
+  core::SystemConfig cfg = core::SystemConfig::sim_profile();
   cfg.suspect_strike_limit =
       static_cast<std::size_t>(args.get_int("strike-limit", 2));
   cfg.agg.detect_byzantine = true;
   cfg.agg.byzantine = &registry;
   cfg.agg.robust.rule = rule;
   cfg.agg.robust.trim_fraction = args.get_double("trim", 0.2);
-  core::P2pFlSystem sys(core::Topology::even(peers, groups), cfg, net,
-                        data.train, data.test, parts,
-                        [] { return fl::Model::mlp(64, {16}); });
+  core::Scenario scenario(spec, cfg, bed.net());
+  core::P2pFlSystem& sys = scenario.sys();
 
   // Detection-chain counters reported by both output modes. Read with
   // counter_value() so an unfired counter reports 0 without the lookup
@@ -725,7 +639,7 @@ int cmd_attack(const bench::Args& args) {
         .field_bool("ok", ok);
     w.key("counters").object_begin();
     for (const char* key : kDetectionCounters) {
-      w.field_u64(key, sim.obs().metrics.counter_value(key));
+      w.field_u64(key, metrics.counter_value(key));
     }
     w.object_end().object_end();
     std::printf("%s\n", w.str().c_str());
@@ -733,26 +647,15 @@ int cmd_attack(const bench::Args& args) {
   };
 
   sys.start();
-  while (sys.rounds_completed() < 2 && sim.now() < 30 * kSecond) {
-    sim.run_for(100 * kMillisecond);
-  }
-  if (sys.rounds_completed() < 2) {
+  if (!bed.run_until([&] { return sys.rounds_completed() >= 2; },
+                     30 * kSecond)) {
     if (!json) std::printf("rounds never started\n");
     return json ? emit_json("no_rounds", false, false) : 1;
   }
 
   // Turn a pure subgroup follower adversarial: its SAC leader must
   // catch it from the share evidence alone.
-  for (PeerId p : sys.raft().topology().all_peers()) {
-    bool leads = p == sys.raft().fedavg_leader();
-    for (SubgroupId g = 0; g < groups; ++g) {
-      if (sys.raft().subgroup_leader(g) == p) leads = true;
-    }
-    if (!leads) {
-      victim = p;
-      break;
-    }
-  }
+  victim = sys.raft().pure_followers().at(0);
   registry.activate(victim,
                     {kind, args.get_double("magnitude", 10.0)});
   if (!json) {
@@ -763,26 +666,18 @@ int cmd_attack(const bench::Args& args) {
   }
 
   const SimTime t0 = sim.now();
-  auto evicted = [&] {
-    const core::HealthReport hr = sys.raft().health(1);
-    const SubgroupId g = sys.raft().topology().subgroup_of(victim);
-    const auto& ev = hr.subgroups[g].evicted;
-    return std::find(ev.begin(), ev.end(), victim) != ev.end();
+  auto contained = [&] {
+    return sys.raft().is_banned(victim) && evicted(sys.raft(), victim);
   };
-  auto finished = [&] {
-    return detectable ? sys.raft().is_banned(victim) && evicted()
-                      : sim.now() >= t0 + 20 * kSecond;
-  };
-  while (!finished() && sim.now() < t0 + horizon) {
-    sim.run_for(100 * kMillisecond);
-  }
+  bed.run_until(
+      [&] { return detectable ? contained() : sim.now() >= t0 + 20 * kSecond; },
+      horizon);
   if (!json) {
     print_health(sim, sys.raft().health(1));
     std::printf("\ndetection:\n");
     for (const char* key : kDetectionCounters) {
       std::printf("  %-36s %6llu\n", key,
-                  static_cast<unsigned long long>(
-                      sim.obs().metrics.counter_value(key)));
+                  static_cast<unsigned long long>(metrics.counter_value(key)));
     }
     std::printf("strikes:");
     for (const auto& [p, s] : sys.strikes()) {
@@ -800,7 +695,7 @@ int cmd_attack(const bench::Args& args) {
   bool ok;
   const char* verdict;
   if (detectable) {
-    ok = !honest_struck && sys.raft().is_banned(victim) && evicted();
+    ok = !honest_struck && contained();
     verdict = ok ? "contained" : "not_contained";
     if (!json) {
       std::printf("\nattack: %s (adversary %u %s, %s honest strikes)\n",
@@ -864,80 +759,41 @@ chaos::ChaosSoakConfig soak_config(const bench::Args& args,
 // peer from disk and heal. That pair of invocations is the crash-
 // recovery soak CI runs nightly.
 int cmd_chaos_tcp(const bench::Args& args) {
-  const std::size_t peers =
-      static_cast<std::size_t>(args.get_int("peers", 12));
-  const std::size_t groups =
-      static_cast<std::size_t>(args.get_int("groups", 3));
   const std::size_t rounds =
       static_cast<std::size_t>(args.get_int("rounds", 8));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(args.get_int("seed", 7));
   const long kill_after = args.get_int("kill-after-round", 0);
   const bool resume = args.has("resume");
   std::string wal_dir = args.get("wal", "");
   if (wal_dir.empty()) wal_dir = "p2pflctl_chaos_wal";
-  if (groups == 0 || peers % groups != 0) {
-    std::fprintf(stderr, "tcp transport needs --peers divisible by --groups\n");
-    return 2;
-  }
+  const core::ScenarioSpec spec = scenario_flags(args, 12, 3, 7);
+  if (!tcp_shape_ok(spec)) return 2;
   if (!resume) wipe_wal_dir(wal_dir);
 
-  const core::Topology topo = core::Topology::even(peers, groups);
-  net::tcp::TcpTransport transport({.peers = topo.all_peers(), .seed = seed});
-  net::Network net(transport, {});
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts = fl::partition_iid(data.train, peers, data_rng);
-
-  core::SystemConfig cfg;
-  // Real-clock profile (see cmd_train_tcp), plus self-healing timing
-  // sized so an 8-second crash reliably outlives the suspicion grace.
-  cfg.raft.raft.election_timeout_min = 1 * kSecond;
-  cfg.raft.raft.election_timeout_max = 2 * kSecond;
-  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
+  core::Testbed bed(core::TransportKind::kTcp, spec);
+  // Self-healing timing on top of the real-clock preset, sized so an
+  // 8-second crash reliably outlives the suspicion grace.
+  core::SystemConfig cfg = core::SystemConfig::real_clock_profile();
   cfg.raft.config_commit_interval = 500 * kMillisecond;
   cfg.raft.suspicion_grace = 4 * kSecond;
   cfg.raft.membership_poll = 500 * kMillisecond;
   cfg.raft.rejoin_retry = 500 * kMillisecond;
   cfg.raft.storage_dir = wal_dir;
-  cfg.agg.collect_timeout = 60 * kSecond;
-  cfg.agg.sac_share_timeout = 20 * kSecond;
-  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-  cfg.agg.upload_retry = 60 * kSecond;
   cfg.agg.sac_dropout_tolerance = 1;
   // Rounds tick every second, so the restarted victim refreshes its
   // model from the next live round result; a catch-up pull would be
   // answered with a deliberate snapshot push and muddy the
   // zero-state-transfer verdict below.
   cfg.catchup_retry = 60 * kSecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 50 * kMillisecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = seed;
-  core::P2pFlSystem sys(topo, cfg, net, data.train, data.test, parts,
-                        [] { return fl::Model::mlp(64, {16}); });
+  core::Scenario scenario(spec, cfg, bed.net());
+  core::P2pFlSystem& sys = scenario.sys();
+  const core::Topology& topo = sys.raft().topology();
 
-  std::mutex mu;
-  std::size_t rounds_done = 0;
+  // Callbacks and run_until predicates all run on the loop thread.
   std::set<PeerId> rejoined;
-  sys.raft().on_peer_rejoined = [&](PeerId p) {
-    std::lock_guard<std::mutex> lock(mu);
-    rejoined.insert(p);
-  };
+  sys.raft().on_peer_rejoined = [&](PeerId p) { rejoined.insert(p); };
   sys.on_round_complete = [&](std::uint64_t, const secagg::Vector&,
                               std::size_t) {
-    std::size_t done;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = ++rounds_done;
-    }
+    const std::size_t done = sys.rounds_completed();
     if (kill_after > 0 && done == static_cast<std::size_t>(kill_after)) {
       // The nightly crash soak: die NOW, mid-everything, with no
       // graceful teardown. Whatever the WALs hold is the truth the
@@ -949,42 +805,26 @@ int cmd_chaos_tcp(const bench::Args& args) {
     }
   };
 
-  transport.start();
-  transport.call([&] { sys.start(); });
-
+  bed.start();
   std::size_t recovered = 0;
-  transport.call([&] {
+  bed.call([&] {
+    sys.start();
     for (PeerId p : topo.all_peers()) {
       recovered += sys.raft().subgroup_node(p).recovered_from_storage();
     }
   });
   std::printf("chaos over TCP: %zu peers in %zu subgroups, wal %s, "
               "%zu/%zu peers recovered from disk\n",
-              peers, groups, wal_dir.c_str(), recovered, peers);
+              spec.peers, spec.groups, wal_dir.c_str(), recovered, spec.peers);
   if (resume && recovered == 0) {
     std::fprintf(stderr, "--resume: no write-ahead state in %s\n",
                  wal_dir.c_str());
-    transport.shutdown();
     return 1;
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
-  auto wait_until = [&](const std::function<bool()>& cond_on_loop,
-                        std::chrono::seconds budget) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    for (;;) {
-      bool ok = false;
-      transport.call([&] { ok = cond_on_loop(); });
-      if (ok) return true;
-      if (std::chrono::steady_clock::now() > deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  };
-
-  if (!wait_until([&] { return sys.raft().stabilized(); },
-                  std::chrono::seconds(60))) {
+  const SimTime t0 = bed.net().now();
+  if (!bed.run_until([&] { return sys.raft().stabilized(); }, 60 * kSecond)) {
     std::fprintf(stderr, "failed to stabilize\n");
-    transport.shutdown();
     return 1;
   }
 
@@ -996,60 +836,42 @@ int cmd_chaos_tcp(const bench::Args& args) {
   hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
   hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
   std::optional<chaos::ChaosEngine> engine;
-  transport.call([&] {
-    for (PeerId p : topo.all_peers()) {
-      bool leads = p == sys.raft().fedavg_leader();
-      for (SubgroupId g = 0; g < groups; ++g) {
-        leads = leads || sys.raft().subgroup_leader(g) == p;
-      }
-      if (!leads) victim = p;  // keep the last: furthest from leaders
-    }
-    const SimTime now = transport.now();
+  bed.call([&] {
+    victim = sys.raft().pure_followers().back();  // furthest from leaders
+    const SimTime now = bed.net().now();
     chaos::ChaosPlan plan;
-    plan.conn_reset_at(now + 1 * kSecond, topo.group(0)[0],
-                       topo.group(0)[1]);
+    plan.conn_reset_at(now + 1 * kSecond, topo.group(0)[0], topo.group(0)[1]);
     plan.throttle_window(now + 1 * kSecond, now + 3 * kSecond,
                          topo.group(1)[1], /*bytes_per_sec=*/4'000'000);
     plan.crash_at(now + 2 * kSecond, victim);
     plan.restart_at(now + 10 * kSecond, victim);
-    engine.emplace(net, std::move(plan), hooks);
+    engine.emplace(bed.net(), std::move(plan), hooks);
     engine->start();
   });
   std::printf("plan: reset %u<->%u, throttle %u, crash+restart %u\n",
-              topo.group(0)[0], topo.group(0)[1],
-              topo.group(1)[1], victim);
+              topo.group(0)[0], topo.group(0)[1], topo.group(1)[1], victim);
 
-  const bool healed = wait_until(
+  const bool healed = bed.run_until(
       [&] {
-        std::lock_guard<std::mutex> lock(mu);
         return rejoined.count(victim) > 0 && sys.raft().stabilized() &&
-               fully_healed(sys.raft().health(cfg.agg.sac_dropout_tolerance)) &&
-               rounds_done >= rounds;
+               sys.raft().health().fully_healed() &&
+               sys.rounds_completed() >= rounds;
       },
-      std::chrono::seconds(120 + 3 * rounds));
+      static_cast<SimDuration>(120 + 3 * rounds) * kSecond);
+  bed.shutdown();
 
-  std::size_t final_rounds;
-  bool victim_recovered = false;
-  std::uint64_t victim_snapshot_installs = 0;
-  transport.call([&] {
-    std::lock_guard<std::mutex> lock(mu);
-    final_rounds = rounds_done;
-    victim_recovered =
-        sys.raft().subgroup_node(victim).recovered_from_storage();
-    victim_snapshot_installs =
-        sys.raft().subgroup_node(victim).metrics().snapshot_installs;
-  });
-  const obs::MetricsRegistry& m = transport.obs().metrics;
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  // Healed means: victim evicted and back in, every subgroup led, no
+  // standing suspicions — and the WAL restart really was a disk
+  // recovery with zero snapshot state transfer.
+  const raft::RaftNode& node = sys.raft().subgroup_node(victim);
+  const obs::MetricsRegistry& m = bed.net().obs().metrics;
   std::printf(
       "after %.1f s: %zu rounds, victim %u %s from wal "
       "(snapshot installs %llu), conn resets %llu, throttle windows %llu, "
       "outq drops %llu, evictions %llu, rejoins %llu\n",
-      elapsed_s, final_rounds, victim,
-      victim_recovered ? "recovered" : "rebuilt without wal",
-      static_cast<unsigned long long>(victim_snapshot_installs),
+      to_ms(bed.net().now() - t0) / 1000.0, sys.rounds_completed(), victim,
+      node.recovered_from_storage() ? "recovered" : "rebuilt without wal",
+      static_cast<unsigned long long>(node.metrics().snapshot_installs),
       static_cast<unsigned long long>(
           m.counter_value("chaos.transport.conn_resets")),
       static_cast<unsigned long long>(
@@ -1057,18 +879,16 @@ int cmd_chaos_tcp(const bench::Args& args) {
       static_cast<unsigned long long>(m.counter_value("net.tcp.outq_dropped")),
       static_cast<unsigned long long>(m.counter_value("membership.evicted")),
       static_cast<unsigned long long>(m.counter_value("membership.rejoined")));
-  transport.shutdown();
-
-  // Healed means: victim evicted and back in, every subgroup led, no
-  // standing suspicions — and the WAL restart really was a disk
-  // recovery with zero snapshot state transfer.
-  const bool ok = healed && victim_recovered && victim_snapshot_installs == 0;
+  const bool ok = healed && node.recovered_from_storage() &&
+                  node.metrics().snapshot_installs == 0;
   std::printf("self-healing over TCP: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }
 
 int cmd_chaos(const bench::Args& args) {
-  if (args.get("transport", "sim") == "tcp") return cmd_chaos_tcp(args);
+  const std::optional<core::TransportKind> transport = transport_flag(args);
+  if (!transport) return 2;
+  if (*transport == core::TransportKind::kTcp) return cmd_chaos_tcp(args);
   chaos::ChaosSoakConfig cfg = soak_config(args, 0.05, 0.05);
   const long reorder_ms = args.get_int("reorder-ms", 0);
 

@@ -47,6 +47,15 @@ struct SystemConfig {
   /// re-admitted); a persistent adversary re-offends and is evicted.
   std::size_t suspect_strike_limit = 2;
   std::uint64_t seed = 42;
+
+  /// Timing for the simulator: 50-100 ms elections, 1 s rounds, 100 ms
+  /// of simulated training. Defined with the scenario layer
+  /// (core/scenario.cpp); DESIGN.md explains both presets.
+  static SystemConfig sim_profile();
+  /// Timing for real clocks (loopback TCP): 1-2 s elections and 20-60 s
+  /// aggregation retry timers, sized above the loop-thread stall of
+  /// synchronous local training.
+  static SystemConfig real_clock_profile();
 };
 
 class P2pFlSystem {

@@ -954,6 +954,33 @@ std::vector<PeerId> TwoLayerRaftSystem::fedavg_members() const {
   return peer_ref(leader).fed_node->members();
 }
 
+bool HealthReport::fully_healed() const {
+  if (fedavg_leader == kNoPeer) return false;
+  for (const SubgroupHealth& h : subgroups) {
+    if (h.leader == kNoPeer || h.parked) return false;
+    if (!h.suspected.empty() || !h.evicted.empty()) return false;
+    if (std::find(fedavg_members.begin(), fedavg_members.end(), h.leader) ==
+        fedavg_members.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<PeerId> TwoLayerRaftSystem::pure_followers() const {
+  std::vector<PeerId> leaders{fedavg_leader()};
+  for (SubgroupId g = 0; g < topology_.subgroup_count(); ++g) {
+    leaders.push_back(subgroup_leader(g));
+  }
+  std::vector<PeerId> out;
+  for (PeerId p : topology_.all_peers()) {
+    if (std::find(leaders.begin(), leaders.end(), p) == leaders.end()) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
 bool TwoLayerRaftSystem::stabilized() const {
   std::vector<PeerId> leaders;
   for (SubgroupId g = 0; g < topology_.subgroup_count(); ++g) {

@@ -98,6 +98,10 @@ struct HealthReport {
   std::vector<SubgroupHealth> subgroups;
   PeerId fedavg_leader = kNoPeer;
   std::vector<PeerId> fedavg_members;
+
+  /// Every subgroup led (none parked) with no standing suspicion or
+  /// eviction, and every subgroup leader holds a FedAvg-layer seat.
+  bool fully_healed() const;
 };
 
 class TwoLayerRaftSystem {
@@ -165,6 +169,10 @@ class TwoLayerRaftSystem {
   /// FedAvg-layer membership as seen by its current leader (empty if no
   /// leader).
   std::vector<PeerId> fedavg_members() const;
+
+  /// Peers, in topology order, that currently lead neither their
+  /// subgroup nor the FedAvg layer.
+  std::vector<PeerId> pure_followers() const;
 
   /// Steady state: one live leader per subgroup, a FedAvg leader exists,
   /// and the FedAvg membership is exactly the set of subgroup leaders.

@@ -6,10 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
-#include "core/system.hpp"
 #include "robust/attack.hpp"
+#include "sim_system.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -30,70 +29,41 @@ struct SoakRun {
 };
 
 SoakRun run_soak(std::uint64_t seed) {
-  constexpr std::size_t kPeers = 12, kGroups = 3;
-  sim::Simulator sim(seed);
-  net::Network net(sim, {.base_latency = 15 * kMillisecond});
-
-  fl::SyntheticSpec spec;
-  spec.height = 8;
-  spec.width = 8;
-  spec.train_samples = 400;
-  spec.test_samples = 120;
-  spec.noise_scale = 0.6;
-  Rng data_rng(seed);
-  const fl::TrainTest data = fl::make_synthetic(spec, data_rng);
-  const fl::PeerIndices parts =
-      fl::partition_iid(data.train, kPeers, data_rng);
-
   robust::ByzantineRegistry registry;
-  SystemConfig cfg;
-  cfg.raft.raft.election_timeout_min = 50 * kMillisecond;
-  cfg.raft.raft.election_timeout_max = 100 * kMillisecond;
-  cfg.raft.fedavg_presence_poll = 100 * kMillisecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 100 * kMillisecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = seed;
+  SystemConfig cfg = SystemConfig::sim_profile();
   cfg.suspect_strike_limit = 2;
   cfg.agg.detect_byzantine = true;
   cfg.agg.byzantine = &registry;
   cfg.agg.robust.rule = robust::RobustRule::kTrimmedMean;
-  P2pFlSystem sys(Topology::even(kPeers, kGroups), cfg, net, data.train,
-                  data.test, parts, [] { return fl::Model::mlp(64, {16}); });
+  SimSystem f({.peers = 12, .groups = 3, .seed = seed}, cfg);
+  P2pFlSystem& sys = f.sys;
   sys.start();
-  while (sys.rounds_completed() < 2 && sim.now() < 30 * kSecond) {
-    sim.run_for(100 * kMillisecond);
-  }
+  f.bed.run_until([&] { return sys.rounds_completed() >= 2; }, 30 * kSecond);
 
   SoakRun out;
   // Adversary: a pure follower; churn victim: an honest follower from a
   // different subgroup, crashed mid-soak and restarted later.
-  for (PeerId p : sys.raft().topology().all_peers()) {
-    bool leads = p == sys.raft().fedavg_leader();
-    for (SubgroupId g = 0; g < kGroups; ++g) {
-      if (sys.raft().subgroup_leader(g) == p) leads = true;
-    }
-    if (leads) continue;
-    if (out.adversary == kNoPeer) {
-      out.adversary = p;
-    } else if (out.churn_victim == kNoPeer &&
-               sys.raft().topology().subgroup_of(p) !=
-                   sys.raft().topology().subgroup_of(out.adversary)) {
+  const Topology& topo = sys.raft().topology();
+  const std::vector<PeerId> followers = sys.raft().pure_followers();
+  out.adversary = followers.at(0);
+  for (PeerId p : followers) {
+    if (topo.subgroup_of(p) != topo.subgroup_of(out.adversary)) {
       out.churn_victim = p;
+      break;
     }
   }
   registry.activate(out.adversary,
                     {robust::AttackKind::kInconsistentShares, 10.0});
 
-  sim.run_for(4 * kSecond);
+  f.sim.run_for(4 * kSecond);
   sys.crash_peer(out.churn_victim);
-  sim.run_for(8 * kSecond);
+  f.sim.run_for(8 * kSecond);
   sys.restart_peer(out.churn_victim);
-  sim.run_for(20 * kSecond);
+  f.sim.run_for(20 * kSecond);
 
   out.rounds_completed = sys.rounds_completed();
   out.strikes = sys.strikes();
-  auto& metrics = sim.obs().metrics;
+  auto& metrics = f.net.obs().metrics;
   out.suspected = metrics.counter("byzantine.suspected").value();
   out.denounced = metrics.counter("membership.denounced").value();
   out.join_or_rejoin_refused =
@@ -106,8 +76,7 @@ SoakRun run_soak(std::uint64_t seed) {
   }
   const HealthReport hr = sys.raft().health(1);
   auto in_config = [&](PeerId p) {
-    const SubgroupId g = sys.raft().topology().subgroup_of(p);
-    const auto& c = hr.subgroups[g].config;
+    const auto& c = hr.subgroups[topo.subgroup_of(p)].config;
     return std::find(c.begin(), c.end(), p) != c.end();
   };
   out.adversary_in_config = in_config(out.adversary);

@@ -10,14 +10,13 @@
 //     while the FedAvg leader is cut off and resume after healing.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
-#include "core/system.hpp"
 #include "core/watchdog.hpp"
+#include "sim_system.hpp"
 
 namespace p2pfl::chaos {
 namespace {
@@ -70,48 +69,11 @@ TEST(ChaosSoakSlow, HighLossStillCommitsExactRounds) {
   EXPECT_GE(res.rounds_committed, 4u);
 }
 
-// Full-system harness (mirrors tests/system_test.cpp) with an
-// injectable network configuration.
-struct FullSystemChaos {
-  FullSystemChaos(std::size_t peers, std::size_t groups, std::uint64_t seed,
-                  net::NetworkConfig net_cfg = {.base_latency =
-                                                    15 * kMillisecond})
-      : sim(seed), net(sim, net_cfg) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 400;
-    spec.test_samples = 120;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = std::make_unique<fl::TrainTest>(fl::make_synthetic(spec, data_rng));
-    parts = fl::partition_iid(data->train, peers, data_rng);
-
-    core::SystemConfig cfg;
-    cfg.raft.raft.election_timeout_min = 50 * kMillisecond;
-    cfg.raft.raft.election_timeout_max = 100 * kMillisecond;
-    cfg.raft.fedavg_presence_poll = 100 * kMillisecond;
-    cfg.round_interval = 1 * kSecond;
-    cfg.train_duration = 100 * kMillisecond;
-    cfg.learning_rate = 3e-3f;
-    cfg.seed = seed;
-    sys = std::make_unique<core::P2pFlSystem>(
-        core::Topology::even(peers, groups), cfg, net, data->train,
-        data->test, parts, [] { return fl::Model::mlp(64, {16}); });
-  }
-
-  sim::Simulator sim;
-  net::Network net;
-  std::unique_ptr<fl::TrainTest> data;
-  fl::PeerIndices parts;
-  std::unique_ptr<core::P2pFlSystem> sys;
-};
-
 TEST(ChaosSoakSlow, SystemAbortsRoundsUnderPartitionAndRecovers) {
-  FullSystemChaos f(9, 3, 7);
-  f.sys->start();
+  core::SimSystem f({.peers = 9, .groups = 3, .seed = 7});
+  f.sys.start();
   f.sim.run_for(6 * kSecond);
-  ASSERT_GE(f.sys->rounds_completed(), 1u);
+  ASSERT_GE(f.sys.rounds_completed(), 1u);
 
   // Cut subgroup 0 (wherever the FedAvg leader sits, two of the three
   // subgroups end up on the other side) for four seconds, driven
@@ -127,12 +89,12 @@ TEST(ChaosSoakSlow, SystemAbortsRoundsUnderPartitionAndRecovers) {
   // During the window some started rounds could not complete: either
   // the FedAvg leader was on the 3-peer island (no quorum of uploads)
   // or cross-partition subgroups never delivered theirs.
-  EXPECT_GT(f.sys->rounds_aborted(), 0u);
+  EXPECT_GT(f.sys.rounds_aborted(), 0u);
 
   // After healing, progress resumes.
-  const std::size_t after_heal = f.sys->rounds_completed();
+  const std::size_t after_heal = f.sys.rounds_completed();
   f.sim.run_for(10 * kSecond);
-  EXPECT_GE(f.sys->rounds_completed(), after_heal + 3)
+  EXPECT_GE(f.sys.rounds_completed(), after_heal + 3)
       << "rounds must keep completing after the partition heals";
 }
 
@@ -192,15 +154,15 @@ TEST(ChaosSoakSlow, WatchdogAttachesToFullSystemRounds) {
   // The attach() path: P2pFlSystem round hooks (started / committed /
   // aborted) drive the watchdog directly, so a live deployment gets the
   // same per-round series as the soak harness.
-  FullSystemChaos f(9, 3, 7);
+  core::SimSystem f({.peers = 9, .groups = 3, .seed = 7});
   core::WatchdogConfig wcfg;
   wcfg.rules = obs::default_rules(/*max_latency_ms=*/5000.0);
   core::RoundWatchdog watchdog(f.sim, f.net, core::Topology::even(9, 3),
                                wcfg);
-  watchdog.attach(*f.sys);
-  f.sys->start();
+  watchdog.attach(f.sys);
+  f.sys.start();
   f.sim.run_for(6 * kSecond);
-  ASSERT_GE(f.sys->rounds_completed(), 1u);
+  ASSERT_GE(f.sys.rounds_completed(), 1u);
 
   ChaosPlan plan;
   plan.partition_window(f.sim.now() + 100 * kMillisecond,
@@ -228,14 +190,15 @@ TEST(ChaosSoakSlow, WatchdogAttachesToFullSystemRounds) {
 }
 
 TEST(ChaosSoakSlow, SystemLearnsOnLossyNetwork) {
-  net::NetworkConfig cfg{.base_latency = 15 * kMillisecond};
+  net::NetworkConfig cfg;
   cfg.faults.drop_prob = 0.05;
   cfg.faults.duplicate_prob = 0.05;
-  FullSystemChaos f(6, 2, 13, cfg);
-  f.sys->start();
+  core::SimSystem f({.peers = 6, .groups = 2, .seed = 13},
+                    core::SystemConfig::sim_profile(), cfg);
+  f.sys.start();
   f.sim.run_for(30 * kSecond);
-  EXPECT_GE(f.sys->rounds_completed(), 5u);
-  EXPECT_GT(f.sys->evaluate_global().accuracy, 0.4);
+  EXPECT_GE(f.sys.rounds_completed(), 5u);
+  EXPECT_GT(f.sys.evaluate_global().accuracy, 0.4);
 }
 
 }  // namespace

@@ -8,13 +8,12 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
-#include "core/system.hpp"
+#include "sim_system.hpp"
 
 namespace p2pfl::core {
 namespace {
@@ -28,43 +27,35 @@ struct SoakOutcome {
   std::vector<std::vector<float>> final_models;  // per peer
 };
 
-struct ChurnSoak {
-  explicit ChurnSoak(std::uint64_t seed)
-      : sim(seed), net(sim, {.base_latency = 15 * kMillisecond}) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 200;
-    spec.test_samples = 60;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = std::make_unique<fl::TrainTest>(fl::make_synthetic(spec, data_rng));
-    parts = fl::partition_iid(data->train, kPeers, data_rng);
+ScenarioSpec churn_spec(std::uint64_t seed) {
+  ScenarioSpec spec{.peers = 9, .groups = 3, .seed = seed, .hidden = 8};
+  spec.data.train_samples = 200;
+  spec.data.test_samples = 60;
+  return spec;
+}
 
-    SystemConfig cfg;
-    cfg.raft.raft.election_timeout_min = 50 * kMillisecond;
-    cfg.raft.raft.election_timeout_max = 100 * kMillisecond;
-    cfg.raft.fedavg_presence_poll = 100 * kMillisecond;
-    cfg.raft.config_commit_interval = 200 * kMillisecond;
-    cfg.raft.suspicion_grace = 500 * kMillisecond;
-    cfg.raft.membership_poll = 100 * kMillisecond;
-    cfg.raft.rejoin_retry = 100 * kMillisecond;
-    cfg.agg.sac_dropout_tolerance = 1;
-    cfg.round_interval = 1 * kSecond;
-    cfg.train_duration = 100 * kMillisecond;
-    cfg.seed = seed;
-    sys = std::make_unique<P2pFlSystem>(
-        Topology::even(kPeers, kGroups), cfg, net, data->train, data->test,
-        parts, [] { return fl::Model::mlp(64, {8}); });
-    sys->raft().on_peer_evicted = [this](PeerId p, bool fed_layer) {
+SystemConfig churn_config() {
+  SystemConfig cfg = SystemConfig::sim_profile();
+  cfg.learning_rate = 1e-3f;
+  cfg.raft.suspicion_grace = 500 * kMillisecond;
+  cfg.raft.membership_poll = 100 * kMillisecond;
+  cfg.raft.rejoin_retry = 100 * kMillisecond;
+  cfg.agg.sac_dropout_tolerance = 1;
+  return cfg;
+}
+
+struct ChurnSoak : SimSystem {
+  explicit ChurnSoak(std::uint64_t seed)
+      : SimSystem(churn_spec(seed), churn_config()) {
+    sys.raft().on_peer_evicted = [this](PeerId p, bool fed_layer) {
       if (!fed_layer) outcome.evicted.insert(p);
     };
-    sys->raft().on_peer_rejoined = [this](PeerId p) {
+    sys.raft().on_peer_rejoined = [this](PeerId p) {
       outcome.rejoined.insert(p);
     };
-    sys->on_round_complete = [this](std::uint64_t round,
-                                    const secagg::Vector& global,
-                                    std::size_t) {
+    sys.on_round_complete = [this](std::uint64_t round,
+                                   const secagg::Vector& global,
+                                   std::size_t) {
       outcome.globals[round] = global;
     };
   }
@@ -83,58 +74,47 @@ struct ChurnSoak {
     chaos::ChaosPlan plan;
     plan.churn(churn);
     chaos::ChaosEngineHooks hooks;
-    hooks.crash = [this](PeerId p) { sys->crash_peer(p); };
-    hooks.restart = [this](PeerId p) { sys->restart_peer(p); };
+    hooks.crash = [this](PeerId p) { sys.crash_peer(p); };
+    hooks.restart = [this](PeerId p) { sys.restart_peer(p); };
     hooks.restart_amnesia = [this](PeerId p) {
-      sys->restart_peer_amnesia(p);
+      sys.restart_peer_amnesia(p);
     };
     chaos::ChaosEngine engine(net, plan, hooks);
 
-    sys->start();
+    sys.start();
     engine.start();
     sim.run_for(12 * kSecond);  // churn window plus trailing restarts
     // Heal window: no further faults; the supervisor must repair every
     // subgroup back to full strength.
     const SimTime deadline = sim.now() + 30 * kSecond;
-    while (sim.now() < deadline) {
-      if (engine.peers_down() == 0 && healed()) break;
-      sim.run_for(100 * kMillisecond);
-    }
-    outcome.healed = engine.peers_down() == 0 && healed();
+    outcome.healed = bed.run_until(
+        [&] { return engine.peers_down() == 0 && healed(); }, 30 * kSecond);
     // Two more full rounds so every rejoined peer receives a fresh
     // global broadcast (quiesce point: just after a round completes).
-    const std::size_t settled = sys->rounds_completed();
-    while (sys->rounds_completed() < settled + 2 &&
-           sim.now() < deadline + 10 * kSecond) {
-      sim.run_for(100 * kMillisecond);
-    }
-    outcome.rounds_completed = sys->rounds_completed();
+    settle(deadline + 10 * kSecond);
+    outcome.rounds_completed = sys.rounds_completed();
     outcome.crashes = engine.crashes();
     outcome.restarts = engine.restarts();
     outcome.amnesia_restarts = engine.amnesia_restarts();
     for (PeerId p = 0; p < kPeers; ++p) {
-      outcome.final_models.push_back(sys->global_model_at(p));
+      outcome.final_models.push_back(sys.global_model_at(p));
     }
     return outcome;
   }
 
   bool healed() const {
-    if (!sys->raft().stabilized()) return false;
-    const HealthReport hr = sys->raft().health();
-    for (const SubgroupHealth& h : hr.subgroups) {
-      if (h.leader == kNoPeer || h.parked) return false;
-      if (!h.evicted.empty() || !h.suspected.empty()) return false;
-    }
-    return true;
+    return sys.raft().stabilized() && sys.raft().health().fully_healed();
+  }
+
+  /// Run two more rounds, or until `deadline`.
+  void settle(SimTime deadline) {
+    const std::size_t settled = sys.rounds_completed();
+    bed.run_until([&] { return sys.rounds_completed() >= settled + 2; },
+                  deadline - sim.now());
   }
 
   static constexpr std::size_t kPeers = 9;
   static constexpr std::size_t kGroups = 3;
-  sim::Simulator sim;
-  net::Network net;
-  std::unique_ptr<fl::TrainTest> data;
-  fl::PeerIndices parts;
-  std::unique_ptr<P2pFlSystem> sys;
   SoakOutcome outcome;
 };
 
@@ -201,23 +181,23 @@ TEST(MembershipSoakSlow, QuorumDeadSubgroupParksWithoutAbortingFedAvg) {
   // aggregating the remaining groups; restarts un-park it.
   ChurnSoak soak(55);
   std::vector<std::size_t> groups_used;
-  soak.sys->on_round_complete = [&](std::uint64_t round,
+  soak.sys.on_round_complete = [&](std::uint64_t round,
                                     const secagg::Vector& global,
                                     std::size_t groups) {
     soak.outcome.globals[round] = global;
     groups_used.push_back(groups);
   };
-  soak.sys->start();
+  soak.sys.start();
   soak.sim.run_for(5 * kSecond);
-  ASSERT_GE(soak.sys->rounds_completed(), 2u);
+  ASSERT_GE(soak.sys.rounds_completed(), 2u);
 
-  const PeerId fed = soak.sys->raft().fedavg_leader();
+  const PeerId fed = soak.sys.raft().fedavg_leader();
   SubgroupId g = 0;
-  if (soak.sys->raft().topology().subgroup_of(fed) == g) g = 1;
-  const auto group = soak.sys->raft().topology().group(g);
+  if (soak.sys.raft().topology().subgroup_of(fed) == g) g = 1;
+  const auto group = soak.sys.raft().topology().group(g);
   // Crash the subgroup leader and one follower: 1 of 3 live, config
   // quorum 2 unreachable until someone returns.
-  const PeerId sg_leader = soak.sys->raft().subgroup_leader(g);
+  const PeerId sg_leader = soak.sys.raft().subgroup_leader(g);
   PeerId follower = kNoPeer;
   for (PeerId p : group) {
     if (p != sg_leader) {
@@ -225,27 +205,20 @@ TEST(MembershipSoakSlow, QuorumDeadSubgroupParksWithoutAbortingFedAvg) {
       break;
     }
   }
-  soak.sys->crash_peer(sg_leader);
-  soak.sys->crash_peer(follower);
-  const std::size_t before = soak.sys->rounds_completed();
+  soak.sys.crash_peer(sg_leader);
+  soak.sys.crash_peer(follower);
+  const std::size_t before = soak.sys.rounds_completed();
   soak.sim.run_for(10 * kSecond);
   // FedAvg did not abort: rounds completed with the group parked.
-  EXPECT_GE(soak.sys->rounds_completed(), before + 3);
+  EXPECT_GE(soak.sys.rounds_completed(), before + 3);
   ASSERT_FALSE(groups_used.empty());
   EXPECT_EQ(groups_used.back(), ChurnSoak::kGroups - 1);
 
-  soak.sys->restart_peer(follower);
-  soak.sys->restart_peer_amnesia(sg_leader);
+  soak.sys.restart_peer(follower);
+  soak.sys.restart_peer_amnesia(sg_leader);
   const SimTime deadline = soak.sim.now() + 30 * kSecond;
-  while (soak.sim.now() < deadline && !soak.healed()) {
-    soak.sim.run_for(100 * kMillisecond);
-  }
-  EXPECT_TRUE(soak.healed());
-  const std::size_t mid = soak.sys->rounds_completed();
-  while (soak.sys->rounds_completed() < mid + 2 &&
-         soak.sim.now() < deadline + 10 * kSecond) {
-    soak.sim.run_for(100 * kMillisecond);
-  }
+  EXPECT_TRUE(soak.bed.run_until([&] { return soak.healed(); }, 30 * kSecond));
+  soak.settle(deadline + 10 * kSecond);
   // The repaired subgroup contributes again.
   EXPECT_EQ(groups_used.back(), ChurnSoak::kGroups);
 }

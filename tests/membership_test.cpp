@@ -67,32 +67,20 @@ struct System {
   bool run_until_healed(SimDuration budget = 20 * kSecond) {
     const SimTime deadline = sim.now() + budget;
     while (sim.now() < deadline) {
-      if (sys.stabilized() && healed()) return true;
+      if (healed()) return true;
       sim.run_for(50 * kMillisecond);
     }
-    return sys.stabilized() && healed();
+    return healed();
   }
 
   bool healed() const {
-    const HealthReport hr = sys.health();
-    if (hr.fedavg_leader == kNoPeer) return false;
-    for (const SubgroupHealth& h : hr.subgroups) {
-      if (h.leader == kNoPeer || h.parked) return false;
-      if (!h.evicted.empty() || !h.suspected.empty()) return false;
-    }
-    return true;
+    return sys.stabilized() && sys.health().fully_healed();
   }
 
   /// A follower of some subgroup that leads nothing (neither layer).
   PeerId pure_follower() const {
-    for (PeerId p : sys.topology().all_peers()) {
-      bool leads = p == sys.fedavg_leader();
-      for (SubgroupId g = 0; g < sys.topology().subgroup_count(); ++g) {
-        if (sys.subgroup_leader(g) == p) leads = true;
-      }
-      if (!leads) return p;
-    }
-    return kNoPeer;
+    const std::vector<PeerId> followers = sys.pure_followers();
+    return followers.empty() ? kNoPeer : followers.front();
   }
 
   std::uint64_t counter(const std::string& name) {

@@ -191,7 +191,8 @@ TEST(TraceStream, CapacityCapCountsDrops) {
   tr.set_capacity(3);
   for (int i = 0; i < 10; ++i) {
     clock = i;
-    tr.instant("sim", "e" + std::to_string(i), 0);
+    const std::string index = std::to_string(i);
+    tr.instant("sim", "e" + index, 0);
   }
   // Ring semantics: the cap evicts the *oldest* events, so the stream
   // always holds the newest `capacity` in arrival order.

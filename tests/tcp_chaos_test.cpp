@@ -14,25 +14,15 @@
 
 #include <unistd.h>
 
-#include <chrono>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
-#include "core/system.hpp"
-#include "core/topology.hpp"
-#include "net/network.hpp"
-#include "net/tcp/tcp_transport.hpp"
-#include "sim/simulator.hpp"
+#include "core/scenario.hpp"
 
 namespace p2pfl::core {
 namespace {
-
-using namespace std::chrono_literals;
 
 constexpr std::size_t kPeers = 12;
 constexpr std::size_t kGroups = 3;
@@ -55,23 +45,14 @@ chaos::ChaosPlan make_plan() {
   return plan;
 }
 
-/// Identical timing profile on both backends. Real-clock scale: local
-/// training runs synchronously on the transport loop thread and can
-/// stall it for hundreds of milliseconds under ThreadSanitizer, so every
-/// protocol timeout is sized well above the longest stall (the same
-/// reasoning as transport_equivalence_test.cpp).
+/// Identical configuration on both backends: the real-clock preset plus
+/// self-healing timing sized so the 10-second crash outlives the
+/// suspicion grace.
 SystemConfig make_config(const std::string& wal_dir) {
-  SystemConfig cfg;
-  cfg.agg.collect_timeout = 60 * kSecond;
-  cfg.agg.sac_share_timeout = 20 * kSecond;
-  cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-  cfg.agg.upload_retry = 60 * kSecond;
+  SystemConfig cfg = SystemConfig::real_clock_profile();
   // One peer may be dead for ten seconds of rounds; tolerance keeps the
   // share phase completing without it.
   cfg.agg.sac_dropout_tolerance = 1;
-  cfg.raft.raft.election_timeout_min = 1 * kSecond;
-  cfg.raft.raft.election_timeout_max = 2 * kSecond;
-  cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
   cfg.raft.config_commit_interval = 500 * kMillisecond;
   cfg.raft.suspicion_grace = 4 * kSecond;
   cfg.raft.membership_poll = 500 * kMillisecond;
@@ -84,28 +65,8 @@ SystemConfig make_config(const std::string& wal_dir) {
   // pulls with a deliberate snapshot push, which would muddy the
   // no-state-transfer assertion below.
   cfg.catchup_retry = 60 * kSecond;
-  cfg.round_interval = 1 * kSecond;
-  cfg.train_duration = 50 * kMillisecond;
-  cfg.learning_rate = 3e-3f;
-  cfg.seed = kSeed;
   return cfg;
 }
-
-struct Dataset {
-  fl::TrainTest data;
-  fl::PeerIndices parts;
-  explicit Dataset(std::uint64_t seed) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 400;
-    spec.test_samples = 120;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = fl::make_synthetic(spec, data_rng);
-    parts = fl::partition_iid(data.train, kPeers, data_rng);
-  }
-};
 
 std::string fresh_wal_dir(const char* tag) {
   static int counter = 0;
@@ -113,51 +74,62 @@ std::string fresh_wal_dir(const char* tag) {
          std::to_string(::getpid()) + "_" + std::to_string(counter++);
 }
 
-/// Membership callbacks fire on the driving thread (the TCP loop thread
-/// or the simulator); collect them under a lock for the test thread.
-struct MembershipLog {
-  std::mutex mu;
-  std::set<PeerId> evicted, rejoined;
-  void attach(TwoLayerRaftSystem& raft) {
-    raft.on_peer_evicted = [this](PeerId p, bool fed_layer) {
-      if (fed_layer) return;
-      std::lock_guard<std::mutex> lock(mu);
-      evicted.insert(p);
-    };
-    raft.on_peer_rejoined = [this](PeerId p) {
-      std::lock_guard<std::mutex> lock(mu);
-      rejoined.insert(p);
-    };
-  }
-  bool victim_rejoined() {
-    std::lock_guard<std::mutex> lock(mu);
-    return rejoined.count(kVictim) > 0;
-  }
-};
-
 /// Fully healed: stable leadership, every topology member configured
 /// back into its subgroup, no standing suspicions.
 bool healed(P2pFlSystem& sys) {
-  if (!sys.raft().stabilized()) return false;
-  const HealthReport hr = sys.raft().health();
-  for (const SubgroupHealth& h : hr.subgroups) {
-    if (h.leader == kNoPeer || h.parked) return false;
-    if (!h.evicted.empty() || !h.suspected.empty()) return false;
-  }
-  return true;
+  return sys.raft().stabilized() && sys.raft().health().fully_healed();
 }
 
 /// End state captured from one backend after its run.
 struct SoakEndState {
+  bool healed = false;
   std::size_t rounds = 0;
+  std::set<PeerId> evicted, rejoined;
   std::set<PeerId> in_config;
   std::size_t fedavg_members = 0;
   bool victim_recovered = false;
   std::uint64_t victim_snapshot_installs = 0;
+  std::uint64_t faults_injected = 0;
+  std::uint64_t conn_resets = 0, throttle_windows = 0, stall_windows = 0;
   double accuracy = 0.0;
 };
 
-void capture_end_state(P2pFlSystem& sys, SoakEndState& out) {
+/// Run the plan on one backend until the victim rejoined, the cluster
+/// healed and at least `min_rounds` rounds committed (the plan's last
+/// event lands at 18 s; the 300 s budget is generous for TSan).
+SoakEndState run_soak(TransportKind kind, std::size_t min_rounds) {
+  const ScenarioSpec spec{.peers = kPeers, .groups = kGroups, .seed = kSeed};
+  Testbed bed(kind, spec);
+  Scenario scenario(
+      spec,
+      make_config(fresh_wal_dir(kind == TransportKind::kTcp ? "tcp" : "sim")),
+      bed.net());
+  P2pFlSystem& sys = scenario.sys();
+  // Callbacks and predicates run on the protocol thread; the state is
+  // read here only after shutdown().
+  SoakEndState out;
+  sys.raft().on_peer_evicted = [&](PeerId p, bool fed_layer) {
+    if (!fed_layer) out.evicted.insert(p);
+  };
+  sys.raft().on_peer_rejoined = [&](PeerId p) { out.rejoined.insert(p); };
+  chaos::ChaosEngineHooks hooks;
+  hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
+  hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
+  chaos::ChaosEngine engine(bed.net(), make_plan(), hooks);
+
+  bed.start();
+  bed.call([&] {
+    sys.start();
+    engine.start();
+  });
+  out.healed = bed.run_until(
+      [&] {
+        return out.rejoined.count(kVictim) > 0 && healed(sys) &&
+               sys.rounds_completed() >= min_rounds;
+      },
+      300 * kSecond, 1 * kSecond);
+  bed.shutdown();
+
   out.rounds = sys.rounds_completed();
   for (PeerId p = 0; p < kPeers; ++p) {
     if (sys.raft().subgroup_node(p).in_config()) out.in_config.insert(p);
@@ -166,128 +138,59 @@ void capture_end_state(P2pFlSystem& sys, SoakEndState& out) {
   raft::RaftNode& victim = sys.raft().subgroup_node(kVictim);
   out.victim_recovered = victim.recovered_from_storage();
   out.victim_snapshot_installs = victim.metrics().snapshot_installs;
+  out.faults_injected = engine.faults_injected();
+  const obs::MetricsRegistry& m = bed.net().obs().metrics;
+  out.conn_resets = m.counter_value("chaos.transport.conn_resets");
+  out.throttle_windows = m.counter_value("chaos.transport.throttle_windows");
+  out.stall_windows = m.counter_value("chaos.transport.stall_windows");
+  out.accuracy = sys.evaluate_global().accuracy;
+  return out;
 }
 
-TEST(TcpChaosSoak, HealsLikeTheSimulatorAndRecoversFromWal) {
-  const Topology topo = Topology::even(kPeers, kGroups);
-
-  // --- the real-socket run ------------------------------------------------
-  SoakEndState tcp_state;
-  std::uint64_t tcp_conn_resets = 0;
-  std::uint64_t tcp_throttle_windows = 0;
-  {
-    net::tcp::TcpTransport transport({.peers = topo.all_peers(),
-                                      .seed = kSeed});
-    net::Network net(transport, {});
-    Dataset ds(kSeed);
-    P2pFlSystem sys(topo, make_config(fresh_wal_dir("tcp")), net,
-                    ds.data.train, ds.data.test, ds.parts,
-                    [] { return fl::Model::mlp(64, {16}); });
-    MembershipLog log;
-    log.attach(sys.raft());
-
-    chaos::ChaosEngineHooks hooks;
-    hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
-    hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
-    chaos::ChaosEngine engine(net, make_plan(), hooks);
-
-    transport.start();
-    transport.call([&] {
-      sys.start();
-      engine.start();
-    });
-
-    // The plan's last event lands at 18 s; wait (generously, for TSan)
-    // for the victim's rejoin and full re-heal, plus a couple of rounds
-    // of post-heal progress.
-    const auto deadline = std::chrono::steady_clock::now() + 300s;
-    bool done = false;
-    while (!done && std::chrono::steady_clock::now() < deadline) {
-      transport.call([&] {
-        done = log.victim_rejoined() && healed(sys) &&
-               sys.rounds_completed() >= 12;
-      });
-      if (!done) std::this_thread::sleep_for(20ms);
-    }
-    ASSERT_TRUE(done) << "TCP soak never healed: rounds="
-                      << sys.rounds_completed();
-    transport.call([&] { capture_end_state(sys, tcp_state); });
-    {
-      std::lock_guard<std::mutex> lock(log.mu);
-      EXPECT_EQ(log.evicted.count(kVictim), 1u)
-          << "the long crash must trip the failure detector";
-    }
-    tcp_conn_resets =
-        transport.obs().metrics.counter_value("chaos.transport.conn_resets");
-    tcp_throttle_windows = transport.obs().metrics.counter_value(
-        "chaos.transport.throttle_windows");
-    EXPECT_EQ(engine.faults_injected(), 4u);  // reset+throttle+crash+restart
-    transport.shutdown();
-    tcp_state.accuracy = sys.evaluate_global().accuracy;
-  }
-
-  // The reset really tore sockets, and the throttle really gated the
-  // writer — the TCP-native execution of the plan, not the sim model.
-  EXPECT_GE(tcp_conn_resets, 1u);
-  EXPECT_GE(tcp_throttle_windows, 1u);
-
+void expect_healed_from_wal(const SoakEndState& s) {
+  ASSERT_TRUE(s.healed) << "never healed: rounds=" << s.rounds;
+  EXPECT_EQ(s.evicted.count(kVictim), 1u)
+      << "the long crash must trip the failure detector";
+  EXPECT_EQ(s.faults_injected, 4u);  // reset+throttle+crash+restart
   // The victim restarted from its WAL and caught up by log append: a
   // snapshot install would mean the durable state was thrown away and
   // re-transferred, which is exactly what the WAL exists to avoid.
-  EXPECT_TRUE(tcp_state.victim_recovered);
-  EXPECT_EQ(tcp_state.victim_snapshot_installs, 0u);
+  EXPECT_TRUE(s.victim_recovered);
+  EXPECT_EQ(s.victim_snapshot_installs, 0u);
+}
 
-  // --- the deterministic twin --------------------------------------------
-  SoakEndState sim_state;
+TEST(TcpChaosSoak, HealsLikeTheSimulatorAndRecoversFromWal) {
+  const SoakEndState tcp = run_soak(TransportKind::kTcp, 12);
   {
-    sim::Simulator sim(kSeed);
-    net::Network net(sim, {.base_latency = 15 * kMillisecond});
-    Dataset ds(kSeed);
-    P2pFlSystem sys(topo, make_config(fresh_wal_dir("sim")), net,
-                    ds.data.train, ds.data.test, ds.parts,
-                    [] { return fl::Model::mlp(64, {16}); });
-    MembershipLog log;
-    log.attach(sys.raft());
-    chaos::ChaosEngineHooks hooks;
-    hooks.crash = [&sys](PeerId p) { sys.crash_peer(p); };
-    hooks.restart = [&sys](PeerId p) { sys.restart_peer(p); };
-    chaos::ChaosEngine engine(net, make_plan(), hooks);
-    sys.start();
-    engine.start();
-
-    // Drive the sim to the same committed-round count as the real run,
-    // healed, so the two end states are comparable.
-    for (int i = 0; i < 300; ++i) {
-      sim.run_for(1 * kSecond);
-      if (log.victim_rejoined() && healed(sys) &&
-          sys.rounds_completed() >= tcp_state.rounds) {
-        break;
-      }
-    }
-    ASSERT_TRUE(log.victim_rejoined());
-    ASSERT_TRUE(healed(sys));
-    ASSERT_GE(sys.rounds_completed(), tcp_state.rounds);
-    EXPECT_EQ(log.evicted.count(kVictim), 1u);
-    EXPECT_EQ(engine.faults_injected(), 4u);
-    capture_end_state(sys, sim_state);
-    sim_state.accuracy = sys.evaluate_global().accuracy;
-    // On the sim path the reset is modeled as one stall per direction.
-    EXPECT_GE(sim.obs().metrics.counter_value("chaos.transport.stall_windows"),
-              2u);
+    SCOPED_TRACE("tcp backend");
+    expect_healed_from_wal(tcp);
   }
-  EXPECT_TRUE(sim_state.victim_recovered);
-  EXPECT_EQ(sim_state.victim_snapshot_installs, 0u);
+  // The reset really tore sockets, and the throttle really gated the
+  // writer — the TCP-native execution of the plan, not the sim model.
+  EXPECT_GE(tcp.conn_resets, 1u);
+  EXPECT_GE(tcp.throttle_windows, 1u);
+
+  // The deterministic twin, driven to the same committed-round count so
+  // the two end states are comparable.
+  const SoakEndState sim = run_soak(TransportKind::kSim, tcp.rounds);
+  {
+    SCOPED_TRACE("sim backend");
+    expect_healed_from_wal(sim);
+  }
+  ASSERT_GE(sim.rounds, tcp.rounds);
+  // On the sim path the reset is modeled as one stall per direction.
+  EXPECT_GE(sim.stall_windows, 2u);
 
   // --- the headline cross-validation -------------------------------------
   // Identical final membership on both backends: every peer configured
   // back into its subgroup, one FedAvg representative per subgroup.
-  EXPECT_EQ(tcp_state.in_config, sim_state.in_config);
-  EXPECT_EQ(tcp_state.in_config.size(), kPeers);
-  EXPECT_EQ(tcp_state.fedavg_members, kGroups);
-  EXPECT_EQ(sim_state.fedavg_members, kGroups);
+  EXPECT_EQ(tcp.in_config, sim.in_config);
+  EXPECT_EQ(tcp.in_config.size(), kPeers);
+  EXPECT_EQ(tcp.fedavg_members, kGroups);
+  EXPECT_EQ(sim.fedavg_members, kGroups);
   // And the model the healed cluster trained agrees across backends.
-  EXPECT_NEAR(tcp_state.accuracy, sim_state.accuracy, 0.2);
-  EXPECT_GT(tcp_state.accuracy, 0.4);
+  EXPECT_NEAR(tcp.accuracy, sim.accuracy, 0.2);
+  EXPECT_GT(tcp.accuracy, 0.4);
 }
 
 }  // namespace

@@ -6,30 +6,20 @@
 // because a real-socket run reproduces their counters bit-for-bit.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analysis/cost_model.hpp"
-#include "core/system.hpp"
-#include "core/topology.hpp"
+#include "core/scenario.hpp"
 #include "core/two_layer_agg.hpp"
 #include "core/wire.hpp"
 #include "net/mux.hpp"
-#include "net/network.hpp"
-#include "net/tcp/tcp_transport.hpp"
 #include "secagg/wire.hpp"
-#include "sim/simulator.hpp"
 
 namespace p2pfl::core {
 namespace {
-
-using namespace std::chrono_literals;
 
 /// Closed-form per-round message count of a fault-free two-layer round.
 std::uint64_t expected_round_messages(std::size_t m, std::size_t n,
@@ -40,97 +30,54 @@ std::uint64_t expected_round_messages(std::size_t m, std::size_t n,
          + (m - 1) + m * (n - 1);  // result return hop + in-group fan-out
 }
 
-/// One aggregation round over the simulator (the pre-seam golden path).
-struct SimRound {
-  sim::Simulator sim;
-  net::Network net;
-  Topology topo;
+/// One fault-free aggregation round on `kind`, run until every
+/// closed-form message has been sent and delivered (so the
+/// delivered-side counters are final); returns the Network's counters.
+net::TrafficStats run_round(TransportKind kind, std::size_t m, std::size_t n,
+                            std::size_t tolerance, std::size_t dim) {
+  const ScenarioSpec spec{.peers = m * n, .groups = m, .seed = 31};
+  Testbed bed(kind, spec);
+  const Topology topo = Topology::even(m * n, m);
   std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  std::optional<TwoLayerAggregator> agg;
+  for (PeerId id : topo.all_peers()) {
+    auto host = std::make_unique<net::PeerHost>();
+    bed.net().attach(id, host.get());
+    hosts.emplace(id, std::move(host));
+  }
+  AggregationConfig cfg;
+  cfg.sac_dropout_tolerance = tolerance;
+  TwoLayerAggregator agg(topo, cfg, bed.net(),
+                         [&](PeerId id) -> net::PeerHost& {
+                           return *hosts.at(id);
+                         });
   bool completed = false;
+  agg.on_global_model = [&](std::uint64_t, const secagg::Vector&,
+                            std::size_t) { completed = true; };
 
-  SimRound(std::size_t m, std::size_t n, std::size_t tolerance,
-           std::size_t dim)
-      : sim(31),
-        net(sim, net::NetworkConfig{.base_latency = 15 * kMillisecond}),
-        topo(Topology::even(m * n, m)) {
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
-    AggregationConfig cfg;
-    cfg.sac_dropout_tolerance = tolerance;
-    agg.emplace(topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-      return *hosts.at(id);
-    });
-    agg->on_global_model = [this](std::uint64_t, const secagg::Vector&,
-                                  std::size_t) { completed = true; };
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    agg->begin_round(1, lead, [dim](PeerId id) {
+  bed.start();
+  RoundLeadership lead;
+  lead.subgroup_leaders = topo.designated_leaders();
+  lead.fedavg_leader = lead.subgroup_leaders.front();
+  bed.call([&] {
+    agg.begin_round(1, lead, [dim](PeerId id) {
       return secagg::Vector(dim, static_cast<float>(id + 1));
     });
-    sim.run();
-  }
-};
-
-/// The identical round over real loopback sockets.
-struct TcpRound {
-  net::tcp::TcpTransport transport;
-  net::Network net;
-  Topology topo;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  std::optional<TwoLayerAggregator> agg;
-  bool completed = false;  // loop-thread-only until shutdown
-
-  TcpRound(std::size_t m, std::size_t n, std::size_t tolerance,
-           std::size_t dim)
-      : transport({.peers = Topology::even(m * n, m).all_peers(),
-                   .seed = 31}),
-        net(transport, {}),
-        topo(Topology::even(m * n, m)) {
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
-    AggregationConfig cfg;
-    cfg.sac_dropout_tolerance = tolerance;
-    agg.emplace(topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-      return *hosts.at(id);
-    });
-    agg->on_global_model = [this](std::uint64_t, const secagg::Vector&,
-                                  std::size_t) { completed = true; };
-    transport.start();
-
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    transport.call([&] {
-      agg->begin_round(1, lead, [dim](PeerId id) {
-        return secagg::Vector(dim, static_cast<float>(id + 1));
-      });
-    });
-
-    // A clean loopback round sends exactly the closed-form message
-    // count; wait for every last one to also be delivered so the
-    // delivered-side counters are final before we stop the loop.
-    const std::size_t k = n > tolerance ? n - tolerance : 1;
-    const std::uint64_t want = expected_round_messages(m, n, k);
-    const auto deadline = std::chrono::steady_clock::now() + 60s;
-    bool done = false;
-    while (!done && std::chrono::steady_clock::now() < deadline) {
-      transport.call([&] {
-        done = completed && net.stats().sent.messages >= want &&
-               net.stats().delivered.messages >= want;
-      });
-      if (!done) std::this_thread::sleep_for(2ms);
-    }
-    transport.shutdown();
-  }
-};
+  });
+  const std::size_t k = n > tolerance ? n - tolerance : 1;
+  const std::uint64_t want = expected_round_messages(m, n, k);
+  const bool done = bed.run_until(
+      [&] {
+        const net::TrafficStats& st = bed.net().stats();
+        return completed && st.sent.messages >= want &&
+               st.delivered.messages >= want;
+      },
+      60 * kSecond);
+  // The simulator can also show that nothing more is ever sent: drain it.
+  if (bed.sim() != nullptr) bed.sim()->run();
+  bed.shutdown();
+  EXPECT_TRUE(done) << "round never completed";
+  return bed.net().stats();
+}
 
 /// Pin one backend's per-kind counters to the framing closed forms and
 /// the |w|-unit total to Eq. (4) (tolerance 0) or Eq. (5).
@@ -189,24 +136,23 @@ void check_backends_agree(std::size_t m, std::size_t n, std::size_t tolerance,
                           std::size_t dim) {
   SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
                " tol=" + std::to_string(tolerance));
-  SimRound sim_run(m, n, tolerance, dim);
-  ASSERT_TRUE(sim_run.completed);
-  TcpRound tcp_run(m, n, tolerance, dim);
-  ASSERT_TRUE(tcp_run.completed);
-
+  const net::TrafficStats sim = run_round(TransportKind::kSim, m, n,
+                                          tolerance, dim);
+  const net::TrafficStats tcp = run_round(TransportKind::kTcp, m, n,
+                                          tolerance, dim);
   {
     SCOPED_TRACE("sim backend");
-    check_closed_forms(sim_run.net.stats(), m, n, tolerance, dim);
+    check_closed_forms(sim, m, n, tolerance, dim);
   }
   {
     SCOPED_TRACE("tcp backend");
-    check_closed_forms(tcp_run.net.stats(), m, n, tolerance, dim);
+    check_closed_forms(tcp, m, n, tolerance, dim);
   }
 
   // The two backends' per-kind sent counters are *identical* — message
   // counts, wire bytes and |w|-unit payload, kind by kind.
-  const auto& a = sim_run.net.stats().sent_by_kind;
-  const auto& b = tcp_run.net.stats().sent_by_kind;
+  const auto& a = sim.sent_by_kind;
+  const auto& b = tcp.sent_by_kind;
   ASSERT_EQ(a.size(), b.size());
   auto ia = a.begin();
   auto ib = b.begin();
@@ -229,101 +175,55 @@ TEST(TransportEquivalence, FaultTolerantRoundIdenticalAcrossBackends) {
 
 // --- full-system FedAvg training over real sockets ----------------------
 
-struct SystemSetup {
-  fl::TrainTest data;
-  fl::PeerIndices parts;
-  SystemConfig cfg;
+constexpr std::size_t kPeers = 20;
+constexpr std::size_t kGroups = 5;  // m=5 subgroups of n=4
 
-  SystemSetup(std::size_t peers, std::uint64_t seed) {
-    fl::SyntheticSpec spec;
-    spec.height = 8;
-    spec.width = 8;
-    spec.train_samples = 400;
-    spec.test_samples = 120;
-    spec.noise_scale = 0.6;
-    Rng data_rng(seed);
-    data = fl::make_synthetic(spec, data_rng);
-    parts = fl::partition_iid(data.train, peers, data_rng);
-
-    // Generous protocol timeouts: on clean loopback nothing is ever
-    // lost, so with enough headroom no retry timer fires even when the
-    // whole process runs 10-20x slower under ThreadSanitizer — keeping
-    // the per-round traffic exactly the closed form.
-    cfg.agg.collect_timeout = 60 * kSecond;
-    cfg.agg.sac_share_timeout = 20 * kSecond;
-    cfg.agg.sac_subtotal_timeout = 20 * kSecond;
-    cfg.agg.upload_retry = 60 * kSecond;
-    // Real-clock Raft timing: local training runs synchronously on the
-    // transport's loop thread and can stall it for hundreds of
-    // milliseconds under ThreadSanitizer, so sim-style 50-100 ms
-    // election timeouts would churn leaders continuously. Size the
-    // timeouts well above the longest stall.
-    cfg.raft.raft.election_timeout_min = 1 * kSecond;
-    cfg.raft.raft.election_timeout_max = 2 * kSecond;
-    cfg.raft.fedavg_presence_poll = 200 * kMillisecond;
-    // Long enough that a round always completes before the next driver
-    // tick (even TSan-slowed): overlapping rounds supersede each other
-    // mid-flight and the superseded partial traffic would break the
-    // exact closed-form window below.
-    cfg.round_interval = 1 * kSecond;
-    cfg.train_duration = 50 * kMillisecond;
-    cfg.learning_rate = 3e-3f;
-    cfg.seed = seed;
-  }
+struct SystemRun {
+  /// Per-kind sent counters at every round completion.
+  std::vector<std::map<std::string, net::TrafficStats::Counter>> snaps;
+  std::size_t rounds = 0, aborted = 0, dim = 0;
+  double accuracy = 0.0;
 };
 
-TEST(TransportEquivalence, FullSystemOverTcpMatchesEq4AndLearns) {
-  constexpr std::size_t kPeers = 20;
-  constexpr std::size_t kGroups = 5;       // m=5 subgroups of n=4
-  constexpr std::size_t kRounds = 5;       // enclosed rounds we account
-  constexpr std::size_t kTrainRounds = 12; // rounds to run before evaluating
-  constexpr std::uint64_t kSeed = 3;
-
-  const Topology topo = Topology::even(kPeers, kGroups);
-  net::tcp::TcpTransport transport({.peers = topo.all_peers(),
-                                    .seed = kSeed});
-  net::Network net(transport, {});
-  SystemSetup setup(kPeers, kSeed);
-  P2pFlSystem sys(topo, setup.cfg, net, setup.data.train, setup.data.test,
-                  setup.parts, [] { return fl::Model::mlp(64, {16}); });
-
-  // Snapshot the per-kind sent counters at every round completion (the
-  // callback runs on the loop thread, where stats() is safe to read).
-  std::mutex mu;
-  std::vector<std::map<std::string, net::TrafficStats::Counter>> snaps;
+/// Train on `kind` until `min_rounds` rounds committed, with the
+/// real-clock preset on both backends (no retries, no overlapping
+/// rounds: see DESIGN.md, "Scenarios and timing presets").
+SystemRun run_system(TransportKind kind, std::size_t min_rounds,
+                     SimDuration budget) {
+  const ScenarioSpec spec{.peers = kPeers, .groups = kGroups, .seed = 3};
+  Testbed bed(kind, spec);
+  Scenario scenario(spec, SystemConfig::real_clock_profile(), bed.net());
+  P2pFlSystem& sys = scenario.sys();
+  SystemRun run;
+  // Runs on the protocol thread, where stats() is safe to read.
   sys.on_round_complete = [&](std::uint64_t, const secagg::Vector&,
                               std::size_t) {
-    std::lock_guard<std::mutex> lock(mu);
-    snaps.push_back(net.stats().sent_by_kind);
+    run.snaps.push_back(bed.net().stats().sent_by_kind);
   };
+  bed.start();
+  bed.call([&] { sys.start(); });
+  EXPECT_TRUE(bed.run_until(
+      [&] { return sys.rounds_completed() >= min_rounds; }, budget,
+      1 * kSecond))
+      << "failed to complete " << min_rounds << " rounds";
+  bed.shutdown();
+  run.rounds = sys.rounds_completed();
+  run.aborted = sys.rounds_aborted();
+  run.dim = sys.global_model_at(0).size();
+  run.accuracy = sys.evaluate_global().accuracy;
+  return run;
+}
 
-  transport.start();
-  transport.call([&] { sys.start(); });
-  const auto deadline = std::chrono::steady_clock::now() + 180s;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (snaps.size() >= kTrainRounds) break;
-    }
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
-        << "TCP system failed to complete " << kTrainRounds << " rounds";
-    std::this_thread::sleep_for(10ms);
-  }
-  transport.shutdown();
-
-  // A clean run: every started round completed (an aborted round would
-  // leave partial traffic inside the accounting window).
-  EXPECT_EQ(sys.rounds_aborted(), 0u);
-
-  // Between two round-completion snapshots exactly `kRounds` whole
-  // aggregation rounds of traffic occurred — wherever the callback sits
-  // inside a round's send sequence, it sits there every round, so the
-  // window is exact.
-  const std::size_t dim = sys.global_model_at(0).size();
-  ASSERT_GT(dim, 0u);
-  const std::uint64_t w = 4 * static_cast<std::uint64_t>(dim);
-  const auto& first = snaps.front();
-  const auto& last = snaps[kRounds];
+/// Between two round-completion snapshots exactly `rounds` whole
+/// aggregation rounds of traffic occurred — wherever the callback sits
+/// inside a round's send sequence, it sits there every round, so the
+/// window is exact. Pin each phase's payload and the total to Eq. (4).
+void check_eq4_window(const SystemRun& run, std::size_t rounds) {
+  ASSERT_GT(run.snaps.size(), rounds);
+  ASSERT_GT(run.dim, 0u);
+  const std::uint64_t w = 4 * static_cast<std::uint64_t>(run.dim);
+  const auto& first = run.snaps.front();
+  const auto& last = run.snaps[rounds];
   std::uint64_t share = 0, subtotal = 0, upload = 0, result = 0, other = 0;
   for (const auto& [kind, c] : last) {
     const auto it = first.find(kind);
@@ -344,37 +244,44 @@ TEST(TransportEquivalence, FullSystemOverTcpMatchesEq4AndLearns) {
   }
   constexpr std::uint64_t m = kGroups;
   constexpr std::uint64_t n = kPeers / kGroups;
-  EXPECT_EQ(share, kRounds * m * n * (n - 1) * w);
-  EXPECT_EQ(subtotal, kRounds * m * (n - 1) * w);
-  EXPECT_EQ(upload, kRounds * (m - 1) * w);
-  EXPECT_EQ(result, kRounds * ((m - 1) + m * (n - 1)) * w);
+  EXPECT_EQ(share, rounds * m * n * (n - 1) * w);
+  EXPECT_EQ(subtotal, rounds * m * (n - 1) * w);
+  EXPECT_EQ(upload, rounds * (m - 1) * w);
+  EXPECT_EQ(result, rounds * ((m - 1) + m * (n - 1)) * w);
   EXPECT_EQ(other, 0u);
   const std::uint64_t total = share + subtotal + upload + result;
-  // The headline cross-validation: real-socket payload per round is the
-  // paper's Eq. (4) closed form, exactly.
+  // The headline cross-validation: payload per round is the paper's
+  // Eq. (4) closed form, exactly.
   EXPECT_DOUBLE_EQ(
-      static_cast<double>(total) / static_cast<double>(w * kRounds),
+      static_cast<double>(total) / static_cast<double>(w * rounds),
       analysis::two_layer_cost_eq4(m, n));
+}
+
+TEST(TransportEquivalence, FullSystemOverTcpMatchesEq4AndLearns) {
+  constexpr std::size_t kRounds = 5;        // enclosed rounds we account
+  constexpr std::size_t kTrainRounds = 12;  // rounds to run before evaluating
+
+  const SystemRun tcp =
+      run_system(TransportKind::kTcp, kTrainRounds, 180 * kSecond);
+  // A clean run: every started round completed (an aborted round would
+  // leave partial traffic inside the accounting window).
+  EXPECT_EQ(tcp.aborted, 0u);
+  {
+    SCOPED_TRACE("tcp backend");
+    check_eq4_window(tcp, kRounds);
+  }
 
   // And the model actually learns over TCP, to within tolerance of the
-  // identically-configured simulator run.
-  const double tcp_acc = sys.evaluate_global().accuracy;
-
-  sim::Simulator sim(kSeed);
-  net::Network sim_net(sim, {.base_latency = 15 * kMillisecond});
-  SystemSetup sim_setup(kPeers, kSeed);
-  P2pFlSystem sim_sys(topo, sim_setup.cfg, sim_net, sim_setup.data.train,
-                      sim_setup.data.test, sim_setup.parts,
-                      [] { return fl::Model::mlp(64, {16}); });
-  sim_sys.start();
-  const std::size_t tcp_rounds = sys.rounds_completed();
-  for (int i = 0; i < 120 && sim_sys.rounds_completed() < tcp_rounds; ++i) {
-    sim.run_for(1 * kSecond);
+  // identically-configured simulator run, which charges the same bytes.
+  const SystemRun sim =
+      run_system(TransportKind::kSim, tcp.rounds, 120 * kSecond);
+  {
+    SCOPED_TRACE("sim backend");
+    check_eq4_window(sim, kRounds);
   }
-  ASSERT_GE(sim_sys.rounds_completed(), tcp_rounds);
-  const double sim_acc = sim_sys.evaluate_global().accuracy;
-  EXPECT_NEAR(tcp_acc, sim_acc, 0.2);
-  EXPECT_GT(tcp_acc, 0.4);
+  ASSERT_GE(sim.rounds, tcp.rounds);
+  EXPECT_NEAR(tcp.accuracy, sim.accuracy, 0.2);
+  EXPECT_GT(tcp.accuracy, 0.4);
 }
 
 }  // namespace

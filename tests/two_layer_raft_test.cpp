@@ -126,18 +126,7 @@ TEST(TwoLayerRaft, SubgroupFollowerCrashIsHarmless) {
   s.sys.start_all();
   ASSERT_TRUE(s.run_until_stable());
   // Crash a pure follower (neither subgroup leader nor FedAvg member).
-  PeerId victim = kNoPeer;
-  for (PeerId p : s.sys.topology().all_peers()) {
-    bool is_leader = false;
-    for (SubgroupId g = 0; g < 3; ++g) {
-      if (s.sys.subgroup_leader(g) == p) is_leader = true;
-    }
-    if (!is_leader) {
-      victim = p;
-      break;
-    }
-  }
-  ASSERT_NE(victim, kNoPeer);
+  const PeerId victim = s.sys.pure_followers().at(0);
   const PeerId fed_before = s.sys.fedavg_leader();
   s.sys.crash_peer(victim);
   s.sim.run_for(2 * kSecond);
@@ -258,18 +247,7 @@ TEST(TwoLayerRaft, LongRunCompactsConfigLogsAndLateJoinerRecovers) {
   ASSERT_TRUE(s.run_until_stable());
 
   // Crash a pure follower early.
-  PeerId victim = kNoPeer;
-  for (PeerId p : s.sys.topology().all_peers()) {
-    bool leader = false;
-    for (SubgroupId g = 0; g < 3; ++g) {
-      if (s.sys.subgroup_leader(g) == p) leader = true;
-    }
-    if (!leader) {
-      victim = p;
-      break;
-    }
-  }
-  ASSERT_NE(victim, kNoPeer);
+  const PeerId victim = s.sys.pure_followers().at(0);
   s.sys.crash_peer(victim);
 
   s.sim.run_for(60 * kSecond);  // ~300 config commits
