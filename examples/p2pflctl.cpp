@@ -330,13 +330,16 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
               victim);
   const SimTime t0 = sim.now();
   sys.crash_peer(victim);
-  bed.run_until(stabilized, 60 * kSecond, 20 * kMillisecond);
-  std::printf("[%7.0fms] system stable again — recovery took %.0f ms\n",
+  const bool recovered =
+      bed.run_until(stabilized, 60 * kSecond, 20 * kMillisecond);
+  std::printf(recovered
+                  ? "[%7.0fms] system stable again — recovery took %.0f ms\n"
+                  : "[%7.0fms] system did not re-stabilize within %.0f ms\n",
               to_ms(sim.now()), to_ms(sim.now() - t0));
   if (traced) {
     bench::export_observability(sim, args.get("out", "p2pfl"));
   }
-  return 0;
+  return recovered ? 0 : 1;
 }
 
 std::string peer_list(const std::vector<PeerId>& v) {
@@ -720,26 +723,30 @@ int cmd_attack(const bench::Args& args) {
   return json ? emit_json(verdict, ok, honest_struck) : (ok ? 0 : 1);
 }
 
-/// Shared soak-scenario flags of `chaos` and `explain` (they differ only
-/// in default ambient fault rates).
-chaos::ChaosSoakConfig soak_config(const bench::Args& args,
-                                   double default_loss, double default_dup) {
-  chaos::ChaosSoakConfig cfg;
-  cfg.peers = static_cast<std::size_t>(args.get_int("peers", 12));
-  cfg.groups = static_cast<std::size_t>(args.get_int("groups", 3));
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
-  cfg.dim = static_cast<std::size_t>(args.get_int("dim", 8));
-  cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.round_interval = args.get_int("interval", 1000) * kMillisecond;
-  cfg.net.faults.drop_prob = args.get_double("loss", default_loss);
-  cfg.net.faults.duplicate_prob = args.get_double("dup", default_dup);
-  cfg.net.faults.corrupt_prob = args.get_double("corrupt", 0.0);
-  cfg.net.faults.truncate_prob = args.get_double("truncate", 0.0);
+/// Simulator bed of the soak-backed `chaos`, `explain` and `watch`
+/// (they differ only in default loss and duplication rates).
+core::Testbed soak_bed(const bench::Args& args, double default_loss,
+                       double default_dup) {
+  net::NetworkConfig net;
+  net.faults.drop_prob = args.get_double("loss", default_loss);
+  net.faults.duplicate_prob = args.get_double("dup", default_dup);
+  net.faults.corrupt_prob = args.get_double("corrupt", 0.0);
+  net.faults.truncate_prob = args.get_double("truncate", 0.0);
   const long reorder_ms = args.get_int("reorder-ms", 0);
   if (reorder_ms > 0) {
-    cfg.net.faults.reorder_prob = 0.25;
-    cfg.net.faults.reorder_jitter = reorder_ms * kMillisecond;
+    net.faults.reorder_prob = 0.25;
+    net.faults.reorder_jitter = reorder_ms * kMillisecond;
   }
+  return core::Testbed(core::TransportKind::kSim,
+                       scenario_flags(args, 12, 3, 1), net);
+}
+
+/// Round plan of the soak-backed subcommands.
+chaos::ChaosSoakConfig soak_config(const bench::Args& args) {
+  chaos::ChaosSoakConfig cfg;
+  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
+  cfg.dim = static_cast<std::size_t>(args.get_int("dim", 8));
+  cfg.round_interval = args.get_int("interval", 1000) * kMillisecond;
   cfg.churn_mttf = args.get_int("churn-mttf", 0) * kMillisecond;
   cfg.churn_mttr = args.get_int("churn-mttr", 1000) * kMillisecond;
   cfg.partition_at = args.get_int("partition-at", 0) * kMillisecond;
@@ -889,24 +896,26 @@ int cmd_chaos(const bench::Args& args) {
   const std::optional<core::TransportKind> transport = transport_flag(args);
   if (!transport) return 2;
   if (*transport == core::TransportKind::kTcp) return cmd_chaos_tcp(args);
-  chaos::ChaosSoakConfig cfg = soak_config(args, 0.05, 0.05);
+  core::Testbed bed = soak_bed(args, 0.05, 0.05);
+  const core::ScenarioSpec& spec = bed.spec();
+  const net::LinkFaults& faults = bed.net().config().faults;
+  const chaos::ChaosSoakConfig cfg = soak_config(args);
   const long reorder_ms = args.get_int("reorder-ms", 0);
 
   std::printf(
       "chaos soak: %zu peers in %zu groups, %zu rounds @ %.0f ms, seed "
       "%llu\n",
-      cfg.peers, cfg.groups, cfg.rounds, to_ms(cfg.round_interval),
-      static_cast<unsigned long long>(cfg.seed));
+      spec.peers, spec.groups, cfg.rounds, to_ms(cfg.round_interval),
+      static_cast<unsigned long long>(spec.seed));
   std::printf(
       "faults: loss %.2f, dup %.2f, corrupt %.2f, truncate %.2f, reorder "
       "jitter %ld ms, churn mttf/mttr %.0f/%.0f ms, partition [%.0f, %.0f) "
       "ms\n",
-      cfg.net.faults.drop_prob, cfg.net.faults.duplicate_prob,
-      cfg.net.faults.corrupt_prob, cfg.net.faults.truncate_prob, reorder_ms,
-      to_ms(cfg.churn_mttf), to_ms(cfg.churn_mttr), to_ms(cfg.partition_at),
-      to_ms(cfg.heal_at));
+      faults.drop_prob, faults.duplicate_prob, faults.corrupt_prob,
+      faults.truncate_prob, reorder_ms, to_ms(cfg.churn_mttf),
+      to_ms(cfg.churn_mttr), to_ms(cfg.partition_at), to_ms(cfg.heal_at));
 
-  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(cfg);
+  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(bed, cfg);
 
   std::printf("\n%5s %9s %12s %10s\n", "round", "outcome", "contributors",
               "max|err|");
@@ -914,7 +923,7 @@ int cmd_chaos(const bench::Args& args) {
     if (o.committed) {
       std::printf("%5llu %9s %8zu/%-3zu %10.2e\n",
                   static_cast<unsigned long long>(o.round), "committed",
-                  o.contributors, cfg.peers, o.max_abs_error);
+                  o.contributors, spec.peers, o.max_abs_error);
     } else {
       std::printf("%5llu %9s %12s %10s\n",
                   static_cast<unsigned long long>(o.round), "aborted", "-",
@@ -928,13 +937,12 @@ int cmd_chaos(const bench::Args& args) {
       res.rounds_skipped);
   std::printf("chaos: %zu crashes, %zu restarts\n", res.crashes,
               res.restarts);
-  bench::print_traffic(res.traffic);
+  bench::print_traffic(bed.net().stats());
 
   // Bit flips have no checksum to catch them in a float payload, so
   // exactness is only promised when corrupt_prob is zero (truncation is
   // fine: every truncated frame is rejected and retried).
-  const bool exact_ok =
-      res.all_commits_exact || cfg.net.faults.corrupt_prob > 0.0;
+  const bool exact_ok = res.all_commits_exact || faults.corrupt_prob > 0.0;
   const bool ok = res.liveness_ok && exact_ok;
   std::printf("liveness: %s, exactness: %s (max error %.2e)\n",
               res.liveness_ok ? "OK" : "FAILED",
@@ -948,17 +956,21 @@ int cmd_chaos(const bench::Args& args) {
 int cmd_explain(const bench::Args& args) {
   // Fault-free by default; any `chaos` fault flag turns the same scenario
   // into a chaotic one (the spans and post-mortems tell the story).
-  chaos::ChaosSoakConfig cfg = soak_config(args, 0.0, 0.0);
-  cfg.capture_spans = true;
+  core::Testbed bed = soak_bed(args, 0.0, 0.0);
+  obs::SpanRecorder& spans = bed.net().obs().spans;
+  spans.set_enabled(true);
+  const core::ScenarioSpec& spec = bed.spec();
+  const net::LinkFaults& faults = bed.net().config().faults;
+  const chaos::ChaosSoakConfig cfg = soak_config(args);
 
   std::printf(
       "explain: %zu peers in %zu groups, %zu rounds @ %.0f ms, seed %llu "
       "(loss %.2f, dup %.2f, churn mttf %.0f ms)\n",
-      cfg.peers, cfg.groups, cfg.rounds, to_ms(cfg.round_interval),
-      static_cast<unsigned long long>(cfg.seed), cfg.net.faults.drop_prob,
-      cfg.net.faults.duplicate_prob, to_ms(cfg.churn_mttf));
+      spec.peers, spec.groups, cfg.rounds, to_ms(cfg.round_interval),
+      static_cast<unsigned long long>(spec.seed), faults.drop_prob,
+      faults.duplicate_prob, to_ms(cfg.churn_mttf));
 
-  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(cfg);
+  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(bed, cfg);
 
   std::uint64_t last_committed = 0;
   for (const chaos::RoundOutcome& o : res.outcomes) {
@@ -990,11 +1002,11 @@ int cmd_explain(const bench::Args& args) {
   const std::string out = args.get("out", "");
   if (!out.empty()) {
     const std::string path = out + ".spans.jsonl";
-    if (obs::write_text_file(path, res.spans_jsonl)) {
+    const std::string jsonl = obs::spans_jsonl(spans);
+    if (obs::write_text_file(path, jsonl)) {
       std::printf("\nwrote %s (%zu spans)\n", path.c_str(),
                   static_cast<std::size_t>(
-                      std::count(res.spans_jsonl.begin(),
-                                 res.spans_jsonl.end(), '\n')));
+                      std::count(jsonl.begin(), jsonl.end(), '\n')));
     } else {
       std::fprintf(stderr, "failed to write %s\n", path.c_str());
       return 2;
@@ -1009,9 +1021,11 @@ int cmd_watch(const bench::Args& args) {
   // Same scenario surface as `chaos`, fault-free by default, watched by
   // the SLO engine: a live per-round table while the soak runs, then the
   // per-rule report and one alert post-mortem per breach.
-  chaos::ChaosSoakConfig cfg = soak_config(args, 0.0, 0.0);
-  cfg.capture_spans = true;
-  cfg.capture_timeseries = true;
+  core::Testbed bed = soak_bed(args, 0.0, 0.0);
+  bed.net().obs().spans.set_enabled(true);
+  const core::ScenarioSpec& spec = bed.spec();
+  const net::LinkFaults& faults = bed.net().config().faults;
+  chaos::ChaosSoakConfig cfg = soak_config(args);
   // Latency ceiling: committed rounds finish well under the round slot;
   // a censored (aborted/skipped) round consumes the whole slot and so
   // always trips a ceiling below it.
@@ -1022,9 +1036,9 @@ int cmd_watch(const bench::Args& args) {
   std::printf(
       "watch: %zu peers in %zu groups, %zu rounds @ %.0f ms, seed %llu "
       "(loss %.2f, dup %.2f, churn mttf %.0f ms, SLO latency <= %.0f ms)\n",
-      cfg.peers, cfg.groups, cfg.rounds, to_ms(cfg.round_interval),
-      static_cast<unsigned long long>(cfg.seed), cfg.net.faults.drop_prob,
-      cfg.net.faults.duplicate_prob, to_ms(cfg.churn_mttf), max_latency_ms);
+      spec.peers, spec.groups, cfg.rounds, to_ms(cfg.round_interval),
+      static_cast<unsigned long long>(spec.seed), faults.drop_prob,
+      faults.duplicate_prob, to_ms(cfg.churn_mttf), max_latency_ms);
   std::printf("\n%5s %9s %8s %7s %12s %8s %6s %7s  %s\n", "round",
               "outcome", "lat ms", "contrib", "payload B", "retries",
               "crash", "strikes", "slo");
@@ -1046,7 +1060,7 @@ int cmd_watch(const bench::Args& args) {
                 slo.empty() ? "ok" : slo.c_str());
   };
 
-  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(cfg);
+  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(bed, cfg);
 
   std::printf("\n%s", res.slo_report.table().c_str());
   for (const obs::SloAlert& a : res.slo_alerts) {

@@ -2,34 +2,83 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <optional>
 
 #include "chaos/engine.hpp"
 #include "common/check.hpp"
+#include "core/scenario.hpp"
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
 #include "core/watchdog.hpp"
-#include "obs/export.hpp"
-#include "sim/simulator.hpp"
 
 namespace p2pfl::chaos {
 
-ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
-  P2PFL_CHECK(cfg.peers > 0 && cfg.groups > 0 && cfg.rounds > 0);
-  sim::Simulator sim(cfg.seed);
-  if (cfg.capture_trace) sim.obs().trace.set_enabled(true);
-  if (cfg.capture_spans) sim.obs().spans.set_enabled(true);
-  net::Network net(sim, cfg.net);
+namespace {
 
-  const core::Topology topo = core::Topology::even(cfg.peers, cfg.groups);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
+// Leadership from liveness: first live member leads its subgroup, first
+// live subgroup leader chairs the FedAvg layer (the Raft backend's
+// steady-state answer, without running Raft here). fedavg_leader stays
+// kNoPeer when no subgroup has a live member.
+core::RoundLeadership live_leadership(const core::Topology& topo,
+                                      const net::Network& net) {
+  core::RoundLeadership lead;
+  lead.subgroup_leaders.resize(topo.subgroup_count());
+  for (SubgroupId g = 0; g < topo.subgroup_count(); ++g) {
+    const std::vector<PeerId>& members = topo.group(g);
+    const auto live = std::find_if(members.begin(), members.end(),
+                                   [&](PeerId p) { return !net.crashed(p); });
+    if (live == members.end()) {
+      lead.subgroup_leaders[g] = members.front();  // all dead
+      continue;
+    }
+    lead.subgroup_leaders[g] = *live;
+    if (lead.fedavg_leader == kNoPeer) lead.fedavg_leader = *live;
   }
+  return lead;
+}
+
+// Churn and the partition window; ambient faults come from the bed's
+// NetworkConfig. Both end early enough that the tail rounds run on a
+// healed network.
+ChaosPlan soak_plan(const ChaosSoakConfig& cfg, const core::Topology& topo) {
+  ChaosPlan plan;
+  const SimTime total = static_cast<SimTime>(cfg.rounds) * cfg.round_interval;
+  if (cfg.churn_mttf > 0) {
+    ChurnSpec churn;
+    churn.start = cfg.round_interval / 2;
+    churn.end = std::max<SimTime>(churn.start + 1,
+                                  total - 3 * cfg.round_interval);
+    churn.mttf = cfg.churn_mttf;
+    churn.mttr = cfg.churn_mttr;
+    churn.peers = topo.all_peers();
+    churn.max_concurrent_down =
+        std::max<std::size_t>(1, topo.peer_count() / 3);
+    plan.churn(churn);
+  }
+  if (cfg.partition_at > 0 && cfg.heal_at > cfg.partition_at) {
+    std::vector<PeerId> island = topo.group(0);
+    std::vector<PeerId> mainland;
+    for (PeerId p : topo.all_peers()) {
+      if (std::find(island.begin(), island.end(), p) == island.end()) {
+        mainland.push_back(p);
+      }
+    }
+    plan.partition_window(cfg.partition_at, cfg.heal_at,
+                          {island, mainland});
+  }
+  return plan;
+}
+
+}  // namespace
+
+ChaosSoakResult run_chaos_soak(core::Testbed& bed,
+                               const ChaosSoakConfig& cfg) {
+  const core::ScenarioSpec& spec = bed.spec();
+  P2PFL_CHECK(spec.peers > 0 && spec.groups > 0 && cfg.rounds > 0);
+  net::Network& net = bed.net();
+  obs::SpanRecorder& spans = net.obs().spans;
+  const core::Topology topo = core::Topology::even(spec.peers, spec.groups);
 
   core::AggregationConfig acfg;
   acfg.sac_dropout_tolerance = cfg.dropout_tolerance;
@@ -40,9 +89,7 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
   acfg.sac_subtotal_timeout = 150 * kMillisecond;
   acfg.sac_share_retry_limit = cfg.sac_share_retries;
   acfg.upload_retry = 300 * kMillisecond;
-  core::TwoLayerAggregator agg(
-      topo, acfg, net,
-      [&](PeerId id) -> net::PeerHost& { return *hosts.at(id); });
+  core::TwoLayerAggregator agg(topo, acfg, net);
 
   // Constant per-peer models make the exact global model computable.
   const auto model_of = [&](PeerId id) {
@@ -50,17 +97,18 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
   };
 
   // Per-round health sampling + SLO evaluation over the same run.
-  const bool watch = cfg.capture_timeseries || !cfg.slo_rules.empty();
   std::unique_ptr<core::RoundWatchdog> watchdog;
-  if (watch) {
+  if (!cfg.slo_rules.empty()) {
     core::WatchdogConfig wcfg;
     wcfg.rules = cfg.slo_rules;
     wcfg.model_payload_bytes = 4 * static_cast<std::uint64_t>(cfg.dim);
     wcfg.dropout_tolerance = cfg.dropout_tolerance;
-    watchdog = std::make_unique<core::RoundWatchdog>(sim, net, topo, wcfg);
+    watchdog = std::make_unique<core::RoundWatchdog>(net, topo, wcfg);
     watchdog->on_sample = cfg.on_sample;
   }
 
+  // Until the bed shuts down, `current`, `res` and the watchdog are
+  // touched on the protocol thread only.
   ChaosSoakResult res;
   std::optional<RoundOutcome> current;
   agg.on_global_model = [&](std::uint64_t round, const secagg::Vector& g,
@@ -82,112 +130,67 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
     current->contributors = who.size();
     current->max_abs_error = err;
   };
-  if (cfg.capture_spans) {
+  if (spans.enabled()) {
     // Abort flight recorder: dump the round's retained spans the moment
     // the round is torn down (abort_round fires before the next round's
     // spans open, so the dump is the abort-time snapshot).
     agg.on_round_aborted = [&](std::uint64_t round) {
-      res.postmortems.push_back(obs::make_postmortem(sim.obs().spans, round));
+      res.postmortems.push_back(obs::make_postmortem(spans, round));
     };
   }
 
-  // Fault plan: ambient faults come from cfg.net.faults; the engine adds
-  // churn and the partition window. Both end early enough that the tail
-  // rounds run on a healed network.
-  ChaosPlan plan;
-  const SimTime total = static_cast<SimTime>(cfg.rounds) * cfg.round_interval;
-  if (cfg.churn_mttf > 0) {
-    ChurnSpec churn;
-    churn.start = cfg.round_interval / 2;
-    churn.end = std::max<SimTime>(churn.start + 1,
-                                  total - 3 * cfg.round_interval);
-    churn.mttf = cfg.churn_mttf;
-    churn.mttr = cfg.churn_mttr;
-    churn.peers = topo.all_peers();
-    churn.max_concurrent_down = std::max<std::size_t>(1, cfg.peers / 3);
-    plan.churn(churn);
-  }
-  if (cfg.partition_at > 0 && cfg.heal_at > cfg.partition_at) {
-    std::vector<PeerId> island = topo.group(0);
-    std::vector<PeerId> mainland;
-    for (PeerId p : topo.all_peers()) {
-      if (std::find(island.begin(), island.end(), p) == island.end()) {
-        mainland.push_back(p);
-      }
-    }
-    plan.partition_window(cfg.partition_at, cfg.heal_at,
-                          {island, mainland});
-  }
-  ChaosEngine engine(net, std::move(plan));
-  engine.start();
+  ChaosEngine engine(net, soak_plan(cfg, topo));
+  bed.start();
+  bed.call([&] { engine.start(); });
 
   for (std::uint64_t r = 1; r <= cfg.rounds; ++r) {
-    // Leadership from liveness: first live member leads its subgroup,
-    // first live subgroup leader chairs the FedAvg layer (the Raft
-    // backend's steady-state answer, without running Raft here).
-    core::RoundLeadership lead;
-    lead.subgroup_leaders.assign(topo.subgroup_count(), kNoPeer);
-    for (SubgroupId g = 0; g < topo.subgroup_count(); ++g) {
-      for (PeerId p : topo.group(g)) {
-        if (!net.crashed(p)) {
-          lead.subgroup_leaders[g] = p;
-          break;
-        }
+    bed.call([&] {
+      const core::RoundLeadership lead = live_leadership(topo, net);
+      if (lead.fedavg_leader == kNoPeer) {
+        // Even a skipped tick (no live leader candidate anywhere) becomes
+        // an uncommitted sample: a crash window shows up in the series
+        // as censored round latency, not as a silent gap.
+        ++res.rounds_skipped;
+        if (watchdog) watchdog->round_started(r);
+        return;
       }
-      if (lead.subgroup_leaders[g] == kNoPeer) {
-        lead.subgroup_leaders[g] = topo.group(g).front();  // all dead
-      }
-      if (lead.fedavg_leader == kNoPeer &&
-          !net.crashed(lead.subgroup_leaders[g])) {
-        lead.fedavg_leader = lead.subgroup_leaders[g];
-      }
-    }
-    if (lead.fedavg_leader == kNoPeer) {
-      // Even a skipped tick (no live leader candidate anywhere) becomes
-      // an uncommitted sample: a crash window shows up in the series as
-      // censored round latency, not as a silent gap.
-      ++res.rounds_skipped;
+      current = RoundOutcome{.round = r};
+      ++res.rounds_started;
       if (watchdog) watchdog->round_started(r);
-      sim.run_for(cfg.round_interval);
+      agg.begin_round(r, lead, model_of);
+    });
+    bed.run_until([] { return false; }, cfg.round_interval,
+                  cfg.round_interval);
+    bed.call([&] {
       if (watchdog) watchdog->round_finished(r);
-      continue;
-    }
-
-    current = RoundOutcome{};
-    current->round = r;
-    ++res.rounds_started;
-    if (watchdog) watchdog->round_started(r);
-    agg.begin_round(r, lead, model_of);
-    sim.run_for(cfg.round_interval);
-    if (watchdog) watchdog->round_finished(r);
-
-    if (current->committed) {
-      ++res.rounds_committed;
-      res.max_abs_error = std::max(res.max_abs_error,
-                                   current->max_abs_error);
-      if (current->max_abs_error > cfg.exact_tol) {
-        res.all_commits_exact = false;
+      if (!current) return;  // skipped tick
+      if (current->committed) {
+        ++res.rounds_committed;
+        res.max_abs_error =
+            std::max(res.max_abs_error, current->max_abs_error);
+        if (current->max_abs_error > cfg.exact_tol) {
+          res.all_commits_exact = false;
+        }
+      } else {
+        ++res.rounds_aborted;
       }
-    } else {
-      ++res.rounds_aborted;
-    }
-    res.outcomes.push_back(*current);
-    current.reset();
+      res.outcomes.push_back(*current);
+      current.reset();
+    });
   }
 
-  if (cfg.capture_spans) {
-    // Tear down a trailing undecided round so its abort (and post-mortem)
-    // is recorded, then extract every committed round's critical path.
-    agg.abort_round();
-    obs::SpanRecorder& spans = sim.obs().spans;
+  // Tear down a trailing undecided round so its abort (and post-mortem)
+  // is recorded.
+  if (spans.enabled()) bed.call([&] { agg.abort_round(); });
+  bed.shutdown();
+
+  if (spans.enabled()) {
     for (const RoundOutcome& oc : res.outcomes) {
       if (oc.committed) {
         res.critical_paths.push_back(extract_critical_path(spans, oc.round));
       }
     }
-    res.spans_jsonl = obs::spans_jsonl(spans);
   }
-
   if (watchdog) {
     res.timeseries_jsonl = watchdog->series().jsonl();
     res.slo_report = watchdog->report();
@@ -196,20 +199,12 @@ ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg) {
 
   res.crashes = engine.crashes();
   res.restarts = engine.restarts();
-  res.traffic = net.stats();
-  bool tail_commit = false;
   const std::size_t tail = std::min<std::size_t>(3, res.outcomes.size());
-  for (std::size_t i = res.outcomes.size() - tail; i < res.outcomes.size();
-       ++i) {
-    if (res.outcomes[i].committed) tail_commit = true;
-  }
-  res.liveness_ok = res.rounds_committed > 0 && tail_commit;
-  if (cfg.capture_trace) {
-    res.trace_json =
-        cfg.capture_spans
-            ? obs::chrome_trace_json(sim.obs().trace, sim.obs().spans)
-            : obs::chrome_trace_json(sim.obs().trace);
-  }
+  res.liveness_ok =
+      res.rounds_committed > 0 &&
+      std::any_of(res.outcomes.end() - static_cast<std::ptrdiff_t>(tail),
+                  res.outcomes.end(),
+                  [](const RoundOutcome& o) { return o.committed; });
   return res;
 }
 

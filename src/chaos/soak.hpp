@@ -1,8 +1,9 @@
 // Reusable chaos-soak harness: two-layer aggregation under a fault plan.
 //
 // Runs N aggregation rounds of the full TwoLayerAggregator stack (SAC
-// subgroups + FedAvg layer) over a network with ambient stochastic
-// faults (loss / duplication / reordering) while a ChaosEngine injects
+// subgroups + FedAvg layer) on a caller's core::Testbed — the simulator
+// or loopback TCP — whose Network config carries the ambient stochastic
+// faults (loss / duplication / reordering), while a ChaosEngine injects
 // crash-restart churn and an optional partition window. Leadership is
 // re-derived each round from liveness (first live member of each
 // subgroup), standing in for the Raft backend so the soak isolates the
@@ -15,31 +16,34 @@
 // duplicate, share from a stale round, missed contributor) is the one
 // failure mode a liveness metric cannot see.
 //
-// Used by `p2pflctl chaos`, the tier-1 chaos tests and the slow soak.
+// Peers, subgroups and seed come from the bed's ScenarioSpec. What the
+// run records follows the bed's observability switches: enable
+// `bed.net().obs().trace` / `.spans` before the soak, and read the
+// trace, spans and traffic from the bed afterwards.
+//
+// Used by `p2pflctl chaos/explain/watch`, the tier-1 chaos tests and the
+// slow soak.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
-#include <functional>
-
 #include "common/types.hpp"
-#include "net/network.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 
+namespace p2pfl::core {
+class Testbed;
+}  // namespace p2pfl::core
+
 namespace p2pfl::chaos {
 
 struct ChaosSoakConfig {
-  std::size_t peers = 12;
-  std::size_t groups = 3;
   std::size_t rounds = 10;
   std::size_t dim = 8;
-  std::uint64_t seed = 1;
   SimDuration round_interval = 2 * kSecond;
-  /// Ambient network behaviour; set `net.faults` for loss/dup/reorder.
-  net::NetworkConfig net{.base_latency = 15 * kMillisecond};
   /// Dropouts each subgroup tolerates after its share phase (Alg. 4 k).
   std::size_t dropout_tolerance = 2;
   /// Crash/restart churn across all peers during the bulk of the run
@@ -54,20 +58,9 @@ struct ChaosSoakConfig {
   std::size_t sac_share_retries = 6;
   /// Max |committed − exact| accepted as float-accumulation noise.
   double exact_tol = 5e-3;
-  /// Record the full trace stream into ChaosSoakResult::trace_json.
-  bool capture_trace = false;
-  /// Record causal spans: per-round critical paths for committed rounds,
-  /// an abort post-mortem whenever on_round_aborted fires, and the full
-  /// span dump. Also tears down a trailing undecided round at the end so
-  /// its abort reaches the flight recorder.
-  bool capture_spans = false;
-  /// Record one obs::RoundSample per round (latency, phase breakdown,
-  /// bytes vs the Eq. (4)/(5) closed form, retries/drops/churn deltas)
-  /// into ChaosSoakResult::timeseries_jsonl.
-  bool capture_timeseries = false;
-  /// SLO rules the RoundWatchdog evaluates per sample (implies
-  /// capture_timeseries when non-empty). Breaches land in slo_report /
-  /// slo_alerts; alert post-mortems need capture_spans for evidence.
+  /// SLO rules the RoundWatchdog evaluates per round; the watchdog runs
+  /// (and fills the time-series fields of the result) exactly when this
+  /// is non-empty. Alert post-mortems need spans for evidence.
   std::vector<obs::SloRule> slo_rules;
   /// Fired live after each round's sample is judged (p2pflctl watch).
   std::function<void(const obs::RoundSample&,
@@ -97,24 +90,25 @@ struct ChaosSoakResult {
   std::size_t crashes = 0;
   std::size_t restarts = 0;
   std::vector<RoundOutcome> outcomes;
-  net::TrafficStats traffic;
-  std::string trace_json;  // only when cfg.capture_trace
-  // --- only when cfg.capture_spans --------------------------------------
-  /// One JSON object per retained span (obs::spans_jsonl format).
-  std::string spans_jsonl;
+  // --- only when the bed records spans ------------------------------------
   /// Critical path of every committed round, in round order.
   std::vector<obs::CriticalPath> critical_paths;
   /// Flight-recorder dumps, one per aborted round, in abort order.
   std::vector<obs::Postmortem> postmortems;
-  // --- only when cfg.capture_timeseries / cfg.slo_rules -----------------
+  // --- only when cfg.slo_rules is non-empty -------------------------------
   /// One RoundSample JSON object per round (obs::RoundSeries::jsonl).
   std::string timeseries_jsonl;
-  /// SLO verdict over the whole run (empty-ruled engines stay healthy).
+  /// SLO verdict over the whole run.
   obs::SloReport slo_report;
   /// Alert post-mortems, one per breach (bounded), in breach order.
   std::vector<obs::SloAlert> slo_alerts;
 };
 
-ChaosSoakResult run_chaos_soak(const ChaosSoakConfig& cfg);
+/// Run the soak on `bed`, which must not be started yet: the soak
+/// attaches its own peer hosts, starts the bed and shuts it down before
+/// returning (no-ops on the simulator), so afterwards any thread may read
+/// bed.net(). Each round is one round_interval of transport time.
+ChaosSoakResult run_chaos_soak(core::Testbed& bed,
+                               const ChaosSoakConfig& cfg);
 
 }  // namespace p2pfl::chaos

@@ -1,6 +1,5 @@
 #include "core/agg_cost_sim.hpp"
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -33,19 +32,10 @@ AggCostBreakdown simulate_aggregation_cost(
   }
   Topology topo(std::move(assignment));
 
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
-
   AggregationConfig cfg;
   cfg.sac_dropout_tolerance = dropout_tolerance;
   cfg.model_wire_bytes = kModelWire;
-  TwoLayerAggregator agg(topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-    return *hosts.at(id);
-  });
+  TwoLayerAggregator agg(topo, cfg, net);
 
   AggCostBreakdown out;
   agg.on_global_model = [&](TwoLayerAggregator::RoundId,
@@ -53,12 +43,9 @@ AggCostBreakdown simulate_aggregation_cost(
     out.completed = true;
   };
 
-  RoundLeadership lead;
-  lead.subgroup_leaders = topo.designated_leaders();
-  lead.fedavg_leader = lead.subgroup_leaders.front();
   Rng model_rng(99);
   if (hooks.on_start) hooks.on_start(sim);
-  agg.begin_round(1, lead, [&](PeerId) {
+  agg.begin_round(1, RoundLeadership::designated(topo), [&](PeerId) {
     secagg::Vector v(kDim);
     for (float& x : v) x = static_cast<float>(model_rng.uniform(-1.0, 1.0));
     return v;
@@ -108,12 +95,6 @@ AggLatency simulate_two_layer_latency(std::span<const std::size_t> groups,
     for (std::size_t i = 0; i < groups[g]; ++i) assignment[g].push_back(next++);
   }
   Topology topo(std::move(assignment));
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   AggregationConfig cfg;
   cfg.sac_dropout_tolerance = dropout_tolerance;
   cfg.model_wire_bytes = model_wire_bytes;
@@ -122,9 +103,7 @@ AggLatency simulate_two_layer_latency(std::span<const std::size_t> groups,
   cfg.sac_subtotal_timeout = 3600 * kSecond;
   cfg.upload_retry = 3600 * kSecond;  // big models serialize slowly; a
                                       // retry would distort the byte study
-  TwoLayerAggregator agg(topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-    return *hosts.at(id);
-  });
+  TwoLayerAggregator agg(topo, cfg, net);
 
   AggLatency out;
   std::size_t received = 0;
@@ -141,11 +120,9 @@ AggLatency simulate_two_layer_latency(std::span<const std::size_t> groups,
     }
   };
 
-  RoundLeadership lead;
-  lead.subgroup_leaders = topo.designated_leaders();
-  lead.fedavg_leader = lead.subgroup_leaders.front();
   if (hooks.on_start) hooks.on_start(sim);
-  agg.begin_round(1, lead, [&](PeerId) { return secagg::Vector(kDim, 1.0f); });
+  agg.begin_round(1, RoundLeadership::designated(topo),
+                  [&](PeerId) { return secagg::Vector(kDim, 1.0f); });
   sim.run();
   if (hooks.on_finish) hooks.on_finish(sim);
   return out;

@@ -57,7 +57,8 @@ Scenario::Scenario(const ScenarioSpec& spec, SystemConfig cfg,
 Scenario::~Scenario() { net_.transport().shutdown(); }
 
 Testbed::Testbed(TransportKind kind, const ScenarioSpec& spec,
-                 net::NetworkConfig net_cfg) {
+                 net::NetworkConfig net_cfg)
+    : spec_(spec) {
   if (kind == TransportKind::kSim) {
     sim_ = std::make_unique<sim::Simulator>(spec.seed);
     net_ = std::make_unique<net::Network>(*sim_, net_cfg);

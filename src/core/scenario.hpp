@@ -83,6 +83,8 @@ class Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
+  /// The spec the bed was built for (peers, groups, seed).
+  const ScenarioSpec& spec() const { return spec_; }
   net::Network& net() { return *net_; }
   /// The simulator, or nullptr over TCP.
   sim::Simulator* sim() { return sim_.get(); }
@@ -107,6 +109,7 @@ class Testbed {
                  SimDuration poll = 100 * kMillisecond);
 
  private:
+  ScenarioSpec spec_;
   std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<net::tcp::TcpTransport> tcp_;
   std::unique_ptr<net::Network> net_;

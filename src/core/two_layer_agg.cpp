@@ -90,7 +90,27 @@ TwoLayerAggregator::TwoLayerAggregator(
   }
 }
 
-TwoLayerAggregator::~TwoLayerAggregator() = default;
+TwoLayerAggregator::TwoLayerAggregator(const Topology& topology,
+                                       AggregationConfig cfg,
+                                       net::Network& net)
+    : TwoLayerAggregator(topology, cfg, net,
+                         [this, &net](PeerId id) -> net::PeerHost& {
+                           auto& host = own_hosts_[id];
+                           host = std::make_unique<net::PeerHost>();
+                           net.attach(id, host.get());
+                           return *host;
+                         }) {}
+
+TwoLayerAggregator::~TwoLayerAggregator() {
+  for (const auto& [id, host] : own_hosts_) net_.detach(id);
+}
+
+RoundLeadership RoundLeadership::designated(const Topology& topology) {
+  RoundLeadership lead;
+  lead.subgroup_leaders = topology.designated_leaders();
+  lead.fedavg_leader = lead.subgroup_leaders.front();
+  return lead;
+}
 
 std::uint64_t TwoLayerAggregator::model_wire(std::size_t dim) const {
   return cfg_.model_wire_bytes > 0

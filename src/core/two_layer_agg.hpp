@@ -88,6 +88,10 @@ struct AggregationConfig {
 struct RoundLeadership {
   std::vector<PeerId> subgroup_leaders;  // indexed by SubgroupId
   PeerId fedavg_leader = kNoPeer;        // must be one of the above
+
+  /// Every subgroup led by its first member; subgroup 0's leader chairs
+  /// the FedAvg layer.
+  static RoundLeadership designated(const Topology& topology);
 };
 
 class TwoLayerAggregator {
@@ -100,6 +104,10 @@ class TwoLayerAggregator {
   TwoLayerAggregator(const Topology& topology, AggregationConfig cfg,
                      net::Network& net,
                      std::function<net::PeerHost&(PeerId)> host_of);
+  /// Standalone aggregator: attaches one PeerHost of its own per
+  /// topology peer to `net`.
+  TwoLayerAggregator(const Topology& topology, AggregationConfig cfg,
+                     net::Network& net);
   ~TwoLayerAggregator();
 
   TwoLayerAggregator(const TwoLayerAggregator&) = delete;
@@ -202,6 +210,9 @@ class TwoLayerAggregator {
   const Topology& topology_;
   AggregationConfig cfg_;
   net::Network& net_;
+  /// Hosts of a standalone aggregator (empty under `host_of`); declared
+  /// before peers_ so the routes' owners outlive the actors.
+  std::map<PeerId, std::unique_ptr<net::PeerHost>> own_hosts_;
   /// Byzantine transforms only (poisoned models, lie offsets); honest
   /// rounds never draw from it, so enabling the machinery does not
   /// shift any pre-existing RNG stream.

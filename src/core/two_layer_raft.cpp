@@ -373,7 +373,7 @@ void TwoLayerRaftSystem::check_join_complete(Peer& p) {
 // --- self-healing membership -------------------------------------------
 
 void TwoLayerRaftSystem::supervise(Peer& p) {
-  if (!opts_.self_healing || net_.crashed(p.id)) return;
+  if (net_.crashed(p.id)) return;
   const SimTime now = net_.now();
   if (p.sg_node->running() && p.sg_node->is_leader()) {
     supervise_layer(p, *p.sg_node, p.sg_suspected, /*fed_layer=*/false);
@@ -567,7 +567,6 @@ void TwoLayerRaftSystem::supervise_layer(
 
 void TwoLayerRaftSystem::handle_subgroup_config(
     Peer& p, const std::vector<PeerId>& cfg) {
-  if (!opts_.self_healing) return;
   const bool member = std::find(cfg.begin(), cfg.end(), p.id) != cfg.end();
   if (member) {
     if (p.rejoining) finish_rejoin(p);
@@ -586,7 +585,7 @@ void TwoLayerRaftSystem::handle_subgroup_config(
 }
 
 void TwoLayerRaftSystem::start_rejoin(Peer& p) {
-  if (!opts_.self_healing || p.rejoining) return;
+  if (p.rejoining) return;
   if (p.sg_node->in_config()) return;
   p.rejoining = true;
   p.rejoin_attempts = 0;
@@ -626,7 +625,6 @@ void TwoLayerRaftSystem::send_rejoin_request(Peer& p) {
 
 void TwoLayerRaftSystem::handle_rejoin_request(
     Peer& p, const wire::RejoinRequestMsg& req) {
-  if (!opts_.self_healing) return;
   if (net_.crashed(p.id) || !p.sg_node->running()) return;
   if (req.subgroup != p.subgroup || req.peer == p.id) return;
   raft::RaftNode& sg = *p.sg_node;
@@ -814,11 +812,9 @@ void TwoLayerRaftSystem::start_all() {
     } else {
       peer->sg_node->start();
     }
-    if (opts_.self_healing) {
-      peer->sg_contact_mark = net_.now();
-      peer->fed_contact_mark = net_.now();
-      peer->supervise_timer->arm_periodic(opts_.membership_poll);
-    }
+    peer->sg_contact_mark = net_.now();
+    peer->fed_contact_mark = net_.now();
+    peer->supervise_timer->arm_periodic(opts_.membership_poll);
   }
 }
 
@@ -872,13 +868,11 @@ void TwoLayerRaftSystem::restart_peer(PeerId peer) {
     // already replaced this peer it simply never campaigns again.
     if (p.fed_node) p.fed_node->restart();
   }
-  if (opts_.self_healing) {
-    p.sg_contact_mark = net_.now();
-    p.fed_contact_mark = net_.now();
-    p.supervise_timer->arm_periodic(opts_.membership_poll);
-    // Evicted while down: the surviving log no longer names this peer.
-    if (!p.sg_node->in_config()) start_rejoin(p);
-  }
+  p.sg_contact_mark = net_.now();
+  p.fed_contact_mark = net_.now();
+  p.supervise_timer->arm_periodic(opts_.membership_poll);
+  // Evicted while down: the surviving log no longer names this peer.
+  if (!p.sg_node->in_config()) start_rejoin(p);
 }
 
 void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
@@ -907,12 +901,10 @@ void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
     o.trace.instant("raft", "membership.amnesia_restart", peer,
                     {{"subgroup", p.subgroup}});
   }
-  if (opts_.self_healing) {
-    p.sg_contact_mark = net_.now();
-    p.fed_contact_mark = net_.now();
-    p.supervise_timer->arm_periodic(opts_.membership_poll);
-    start_rejoin(p);
-  }
+  p.sg_contact_mark = net_.now();
+  p.fed_contact_mark = net_.now();
+  p.supervise_timer->arm_periodic(opts_.membership_poll);
+  start_rejoin(p);
 }
 
 bool TwoLayerRaftSystem::peer_crashed(PeerId peer) const {

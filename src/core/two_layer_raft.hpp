@@ -55,10 +55,8 @@ struct TwoLayerRaftOptions {
   std::size_t log_compaction_threshold = 64;
 
   // --- self-healing membership -------------------------------------------
-  /// Master switch for the membership supervisor: leaders suspect and
-  /// evict silent members; evicted (or wiped) peers run the rejoin
-  /// handshake to be configured back in.
-  bool self_healing = true;
+  // Leaders suspect and evict silent members; evicted (or wiped) peers
+  // run the rejoin handshake to be configured back in.
   /// A member whose AppendEntries/InstallSnapshot replies have been
   /// silent for longer than this is suspected and proposed for removal.
   /// Must be well above the election timeout, or a transient hiccup

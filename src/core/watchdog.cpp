@@ -7,16 +7,15 @@
 
 namespace p2pfl::core {
 
-RoundWatchdog::RoundWatchdog(sim::Simulator& sim, net::Network& net,
-                             const Topology& topology, WatchdogConfig cfg)
-    : sim_(sim),
-      net_(net),
+RoundWatchdog::RoundWatchdog(net::Network& net, const Topology& topology,
+                             WatchdogConfig cfg)
+    : net_(net),
       cfg_(std::move(cfg)),
       series_(cfg_.series_capacity),
       engine_(cfg_.rules) {
   // Pre-create the slo.* counters so metric dumps have the same shape
   // whether or not any rule ever breached.
-  engine_.register_metrics(sim_.obs());
+  engine_.register_metrics(net_.obs());
   if (cfg_.model_payload_bytes > 0) {
     const std::vector<std::size_t> sizes = topology.sizes();
     const std::size_t n =
@@ -30,7 +29,7 @@ RoundWatchdog::RoundWatchdog(sim::Simulator& sim, net::Network& net,
 }
 
 RoundWatchdog::Baseline RoundWatchdog::snapshot() const {
-  const obs::MetricsRegistry& m = sim_.obs().metrics;
+  const obs::MetricsRegistry& m = net_.obs().metrics;
   Baseline b;
   b.wire_bytes = net_.stats().sent.bytes;
   b.payload_bytes = net_.stats().sent.payload;
@@ -55,7 +54,7 @@ void RoundWatchdog::round_started(std::uint64_t round) {
   if (open_) round_finished(open_round_);  // superseded, close uncommitted
   open_ = true;
   open_round_ = round;
-  start_ = sim_.now();
+  start_ = net_.now();
   base_ = snapshot();
   committed_ = false;
   commit_time_ = 0;
@@ -68,7 +67,7 @@ void RoundWatchdog::round_committed(std::uint64_t round,
                                     std::size_t groups_used) {
   if (!open_ || open_round_ != round) return;
   committed_ = true;
-  commit_time_ = sim_.now();
+  commit_time_ = net_.now();
   contributors_ = contributors;
   groups_used_ = groups_used;
 }
@@ -86,12 +85,12 @@ void RoundWatchdog::round_finished(std::uint64_t round, double loss,
   // a global model are right-censored at the close of the observation
   // window (abort time, or the full round slot under manual drive) — a
   // crash window shows up as latency, not as a gap in the series.
-  s.end = committed_ ? commit_time_ : sim_.now();
+  s.end = committed_ ? commit_time_ : net_.now();
   s.latency_ms = to_ms(s.end - s.start);
   s.contributors = contributors_;
   s.groups_used = groups_used_;
 
-  const obs::SpanRecorder& spans = sim_.obs().spans;
+  const obs::SpanRecorder& spans = net_.obs().spans;
   if (committed_ && spans.enabled()) {
     obs::CriticalPath cp = obs::extract_critical_path(spans, round);
     if (cp.found) s.phases = std::move(cp.phase_totals);
@@ -113,7 +112,7 @@ void RoundWatchdog::round_finished(std::uint64_t round, double loss,
   s.accuracy = accuracy;
 
   const std::vector<obs::SloBreach> fired =
-      engine_.evaluate(s, &sim_.obs());
+      engine_.evaluate(s, &net_.obs());
   breaches_total_ += fired.size();
   if (cfg_.capture_alerts) {
     for (const obs::SloBreach& b : fired) {

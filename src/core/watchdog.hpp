@@ -26,7 +26,6 @@
 #include "net/network.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
-#include "sim/simulator.hpp"
 
 namespace p2pfl::core {
 
@@ -53,14 +52,16 @@ struct WatchdogConfig {
 
 class RoundWatchdog {
  public:
-  RoundWatchdog(sim::Simulator& sim, net::Network& net,
-                const Topology& topology, WatchdogConfig cfg);
+  /// Samples `net`'s counters and clock, so it runs on either
+  /// transport; every method must run on the protocol thread.
+  RoundWatchdog(net::Network& net, const Topology& topology,
+                WatchdogConfig cfg);
 
   // --- manual drive ------------------------------------------------------
   /// Open the observation window of `round`. An already-open window is
   /// closed first (as uncommitted) so a superseded round still samples.
   void round_started(std::uint64_t round);
-  /// Mark the open round committed at the current virtual time.
+  /// Mark the open round committed at the current transport time.
   void round_committed(std::uint64_t round, std::size_t contributors,
                        std::size_t groups_used);
   /// Close the window: build the sample, append, evaluate SLOs.
@@ -105,7 +106,6 @@ class RoundWatchdog {
   };
   Baseline snapshot() const;
 
-  sim::Simulator& sim_;
   net::Network& net_;
   WatchdogConfig cfg_;
   obs::RoundSeries series_;

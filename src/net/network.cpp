@@ -209,7 +209,7 @@ void Network::send(Envelope env) {
     count_drop("partitioned");
     return;
   }
-  if (cfg_.encode_verify) verify_encoding(env);
+  verify_encoding(env);
   env.dest_incarnation = incarnation(env.to);
 
   obs::SpanRecorder& sr = transport_.obs().spans;

@@ -135,15 +135,6 @@ struct NetworkConfig {
   /// Default stochastic imperfection applied to every inter-peer message
   /// (overridable per link and per message-kind prefix).
   LinkFaults faults = {};
-  /// Encode every payload whose kind has a registered codec at send time
-  /// and assert the charged wire_bytes equals the encoded length (plus
-  /// the envelope's declared modeled_delta). On by default so every test
-  /// run cross-checks the Eq. (4)/(5) byte accounting against real
-  /// encodings; turn off only to send raw un-encodable bodies on
-  /// protocol kinds (some fault-injection tests do). On a
-  /// non-deterministic transport a codec is additionally *required*:
-  /// only canonical frames cross the seam.
-  bool encode_verify = true;
 };
 
 class Network : public FrameSink {
@@ -307,7 +298,12 @@ class Network : public FrameSink {
                                const std::string& kind) const;
   void schedule_delivery(Envelope env, PeerId from, PeerId to);
   void count_drop(const char* reason);
-  /// Encode-verify: charge must equal real encoding + modeled_delta.
+  /// Encode every payload whose kind has a registered codec and assert
+  /// the charged wire_bytes equals the encoded length plus the
+  /// envelope's modeled_delta, so every run cross-checks the Eq. (4)/(5)
+  /// byte accounting against real encodings. Kinds without a codec pass
+  /// on the simulator; a real transport requires one (only canonical
+  /// frames cross the seam).
   void verify_encoding(const Envelope& env) const;
   /// Damage the message's real encoding in flight (bit flip and/or
   /// truncation); the body becomes a CorruptPayload the receiving side

@@ -15,6 +15,7 @@
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
+#include "core/scenario.hpp"
 #include "core/watchdog.hpp"
 #include "sim_system.hpp"
 
@@ -23,22 +24,22 @@ namespace {
 
 TEST(ChaosSoakSlow, LongSoakSurvivesLossDupChurnAndPartition) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    net::NetworkConfig net;
+    net.faults.drop_prob = 0.10;
+    net.faults.duplicate_prob = 0.10;
+    net.faults.reorder_prob = 0.10;
+    net.faults.reorder_jitter = 100 * kMillisecond;
+    core::Testbed bed(core::TransportKind::kSim,
+                      {.peers = 12, .groups = 3, .seed = seed}, net);
     ChaosSoakConfig cfg;
-    cfg.peers = 12;
-    cfg.groups = 3;
     cfg.rounds = 20;
     cfg.dim = 8;
-    cfg.seed = seed;
     cfg.round_interval = 1 * kSecond;
-    cfg.net.faults.drop_prob = 0.10;
-    cfg.net.faults.duplicate_prob = 0.10;
-    cfg.net.faults.reorder_prob = 0.10;
-    cfg.net.faults.reorder_jitter = 100 * kMillisecond;
     cfg.churn_mttf = 4 * kSecond;
     cfg.churn_mttr = 600 * kMillisecond;
     cfg.partition_at = 5 * kSecond + 100 * kMillisecond;
     cfg.heal_at = 7 * kSecond + 100 * kMillisecond;
-    const ChaosSoakResult res = run_chaos_soak(cfg);
+    const ChaosSoakResult res = run_chaos_soak(bed, cfg);
     EXPECT_TRUE(res.liveness_ok)
         << "seed " << seed << ": committed " << res.rounds_committed
         << "/" << res.rounds_started;
@@ -47,7 +48,7 @@ TEST(ChaosSoakSlow, LongSoakSurvivesLossDupChurnAndPartition) {
     EXPECT_GE(res.rounds_committed, 5u) << "seed " << seed;
     EXPECT_GT(res.crashes, 0u) << "seed " << seed << ": churn never fired";
     // The ambient faults really were active the whole run.
-    EXPECT_GT(res.traffic.dropped_by_reason.at("chaos_loss"), 0u);
+    EXPECT_GT(bed.net().stats().dropped_by_reason.at("chaos_loss"), 0u);
   }
 }
 
@@ -55,15 +56,15 @@ TEST(ChaosSoakSlow, HighLossStillCommitsExactRounds) {
   // 25% loss is brutal (a 4-peer share phase needs ~36 deliveries);
   // retransmission must still land enough rounds, and every landed
   // round must be exact.
+  net::NetworkConfig net;
+  net.faults.drop_prob = 0.25;
+  core::Testbed bed(core::TransportKind::kSim,
+                    {.peers = 8, .groups = 2, .seed = 17}, net);
   ChaosSoakConfig cfg;
-  cfg.peers = 8;
-  cfg.groups = 2;
   cfg.rounds = 12;
-  cfg.seed = 17;
   cfg.round_interval = 2 * kSecond;
-  cfg.net.faults.drop_prob = 0.25;
   cfg.sac_share_retries = 10;
-  const ChaosSoakResult res = run_chaos_soak(cfg);
+  const ChaosSoakResult res = run_chaos_soak(bed, cfg);
   EXPECT_TRUE(res.liveness_ok);
   EXPECT_TRUE(res.all_commits_exact) << "max error " << res.max_abs_error;
   EXPECT_GE(res.rounds_committed, 4u);
@@ -104,19 +105,18 @@ TEST(ChaosSoakSlow, CrashWindowTripsLatencySloWithAlertPostmortem) {
   // round-latency SLO, and each breach must carry a flight-recorder
   // post-mortem. The identical fault-free run must stay green.
   const auto run = [](bool partition) {
+    core::Testbed bed(core::TransportKind::kSim,
+                      {.peers = 12, .groups = 3, .seed = 3});
+    bed.net().obs().spans.set_enabled(true);
     ChaosSoakConfig cfg;
-    cfg.peers = 12;
-    cfg.groups = 3;
     cfg.rounds = 8;
-    cfg.seed = 3;
     cfg.round_interval = 1 * kSecond;
     if (partition) {
       cfg.partition_at = 2200 * kMillisecond;
       cfg.heal_at = 5200 * kMillisecond;
     }
-    cfg.capture_spans = true;
     cfg.slo_rules = obs::default_rules(/*max_latency_ms=*/750.0);
-    return run_chaos_soak(cfg);
+    return run_chaos_soak(bed, cfg);
   };
 
   const ChaosSoakResult healthy = run(false);
@@ -157,8 +157,7 @@ TEST(ChaosSoakSlow, WatchdogAttachesToFullSystemRounds) {
   core::SimSystem f({.peers = 9, .groups = 3, .seed = 7});
   core::WatchdogConfig wcfg;
   wcfg.rules = obs::default_rules(/*max_latency_ms=*/5000.0);
-  core::RoundWatchdog watchdog(f.sim, f.net, core::Topology::even(9, 3),
-                               wcfg);
+  core::RoundWatchdog watchdog(f.net, core::Topology::even(9, 3), wcfg);
   watchdog.attach(f.sys);
   f.sys.start();
   f.sim.run_for(6 * kSecond);

@@ -21,11 +21,13 @@
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
+#include "core/scenario.hpp"
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
 #include "core/wire.hpp"
 #include "net/mux.hpp"
 #include "net/network.hpp"
+#include "obs/export.hpp"
 #include "secagg/sac_actor.hpp"
 
 namespace p2pfl::chaos {
@@ -35,12 +37,6 @@ struct Recorder : net::Endpoint {
   std::vector<net::Envelope> got;
   void deliver(const net::Envelope& env) override { got.push_back(env); }
 };
-
-std::uint64_t counter_value(sim::Simulator& sim, const std::string& name) {
-  const auto& counters = sim.obs().metrics.counters();
-  auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second.value();
-}
 
 TEST(ChaosNet, DropEverythingDeliversNothingAndCountsDrops) {
   sim::Simulator sim(7);
@@ -57,7 +53,7 @@ TEST(ChaosNet, DropEverythingDeliversNothingAndCountsDrops) {
   EXPECT_EQ(net.stats().sent.messages, 10u);
   // ...and every loss is accounted, in the stats table and the registry.
   EXPECT_EQ(net.stats().dropped_by_reason.at("chaos_loss"), 10u);
-  EXPECT_EQ(counter_value(sim, "net.dropped.chaos_loss"), 10u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.dropped.chaos_loss"), 10u);
   EXPECT_EQ(net.stats().delivered.messages, 0u);
 }
 
@@ -72,7 +68,7 @@ TEST(ChaosNet, DuplicationDeliversEveryMessageTwice) {
   for (int i = 0; i < 5; ++i) net.send(0, 1, "msg", i, 100);
   sim.run();
   EXPECT_EQ(r1.got.size(), 10u);
-  EXPECT_EQ(counter_value(sim, "net.chaos.duplicates"), 5u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.chaos.duplicates"), 5u);
   // Send-side accounting counts the message once; the duplicate is a
   // network artifact, not a second transmission.
   EXPECT_EQ(net.stats().sent.messages, 5u);
@@ -126,26 +122,24 @@ TEST(ChaosNet, PerLinkFaultsOverrideDefaults) {
 
 TEST(ChaosNet, KindPrefixFaultsLongestPrefixWins) {
   sim::Simulator sim(7);
-  // Raw int bodies on protocol kinds: disable encode verification, which
-  // would otherwise reject bodies the registered codecs cannot encode.
-  net::NetworkConfig ncfg{.base_latency = 10 * kMillisecond};
-  ncfg.encode_verify = false;
-  net::Network net(sim, ncfg);
+  // Raw int bodies on kinds without a codec: the simulator carries them
+  // unverified.
+  net::Network net(sim, {.base_latency = 10 * kMillisecond});
   Recorder r1;
   net.attach(0, &r1);
   net.attach(1, &r1);
-  // "agg/" is lossless but the more specific "agg/upload" loses all.
-  net.set_kind_faults("agg/", {});
-  net.set_kind_faults("agg/upload", {.drop_prob = 1.0});
-  net.send(0, 1, "agg/upload", 1, 100);
-  net.send(0, 1, "agg/result", 2, 100);
-  net.send(0, 1, "raft/vote", 3, 100);
+  // "x/" is lossless but the more specific "x/upload" loses all.
+  net.set_kind_faults("x/", {});
+  net.set_kind_faults("x/upload", {.drop_prob = 1.0});
+  net.send(0, 1, "x/upload", 1, 100);
+  net.send(0, 1, "x/result", 2, 100);
+  net.send(0, 1, "y/vote", 3, 100);
   sim.run();
   ASSERT_EQ(r1.got.size(), 2u);
-  EXPECT_EQ(r1.got[0].kind, "agg/result");
-  EXPECT_EQ(r1.got[1].kind, "raft/vote");
-  net.clear_kind_faults("agg/upload");
-  net.send(0, 1, "agg/upload", 4, 100);
+  EXPECT_EQ(r1.got[0].kind, "x/result");
+  EXPECT_EQ(r1.got[1].kind, "y/vote");
+  net.clear_kind_faults("x/upload");
+  net.send(0, 1, "x/upload", 4, 100);
   sim.run();
   EXPECT_EQ(r1.got.size(), 3u);
 }
@@ -196,7 +190,8 @@ TEST(ChaosNet, DropTableMirrorsObsCountersAcrossReasons) {
   net.send(0, 1, "x", 0, 10);  // chaos_loss
   sim.run();
   for (const auto& [reason, count] : net.stats().dropped_by_reason) {
-    EXPECT_EQ(counter_value(sim, "net.dropped." + reason), count) << reason;
+    EXPECT_EQ(sim.obs().metrics.counter_value("net.dropped." + reason), count)
+        << reason;
   }
   EXPECT_EQ(net.stats().dropped_by_reason.size(), 2u);
 }
@@ -216,8 +211,8 @@ TEST(ChaosEngineTest, ExecutesPlannedCrashAndRestart) {
   EXPECT_FALSE(net.crashed(3));
   EXPECT_EQ(engine.restarts(), 1u);
   EXPECT_EQ(engine.peers_down(), 0u);
-  EXPECT_EQ(counter_value(sim, "chaos.crash"), 1u);
-  EXPECT_EQ(counter_value(sim, "chaos.restart"), 1u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("chaos.crash"), 1u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("chaos.restart"), 1u);
 }
 
 TEST(ChaosEngineTest, FaultWindowSetsAndRestoresNetworkDefaults) {
@@ -346,7 +341,7 @@ TEST(ChaosEngineTest, RedundantCrashAndRestartNoOpInsteadOfRefiring) {
   EXPECT_EQ(engine.crashes(), 1u);
   EXPECT_EQ(engine.restarts(), 1u);
   EXPECT_EQ(engine.redundant_faults(), 3u);
-  EXPECT_EQ(counter_value(sim, "chaos.redundant"), 3u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("chaos.redundant"), 3u);
   // Redundant requests are not injected faults.
   EXPECT_EQ(engine.faults_injected(), 2u);
 }
@@ -377,8 +372,8 @@ TEST(ChaosEngineTest, AmnesiaRestartDispatchesToTheAmnesiaHook) {
   for (const auto& [peer, amnesia] : restarts) {
     EXPECT_EQ(amnesia, peer == 2) << "peer " << peer;
   }
-  EXPECT_EQ(counter_value(sim, "chaos.restart"), 1u);
-  EXPECT_EQ(counter_value(sim, "chaos.amnesia_restart"), 1u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("chaos.restart"), 1u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("chaos.amnesia_restart"), 1u);
 }
 
 TEST(ChaosEngineTest, AmnesiaFallsBackToPlainRestartWithoutAHook) {
@@ -478,7 +473,7 @@ TEST(ChaosSac, CompletedRoundIsExactUnderLossAndDuplication) {
     for (float v : s.results[2].second) {
       EXPECT_NEAR(v, 3.5f, 1e-3f) << "seed " << seed;
     }
-    EXPECT_GT(counter_value(s.sim, "net.dropped.chaos_loss"), 0u);
+    EXPECT_GT(s.sim.obs().metrics.counter_value("net.dropped.chaos_loss"), 0u);
   }
 }
 
@@ -496,8 +491,8 @@ TEST(ChaosSac, TotalDuplicationNeverDoubleCounts) {
   for (float v : s.results[0].second) {
     EXPECT_NEAR(v, 3.0f, 1e-4f);
   }
-  EXPECT_EQ(counter_value(s.sim, "net.chaos.duplicates"),
-            counter_value(s.sim, "net.sent.messages"));
+  EXPECT_EQ(s.sim.obs().metrics.counter_value("net.chaos.duplicates"),
+            s.sim.obs().metrics.counter_value("net.sent.messages"));
 }
 
 // --- corruption faults ------------------------------------------------------
@@ -523,8 +518,8 @@ TEST(ChaosCorrupt, TruncationAlwaysDropsWithCorruptReason) {
   EXPECT_EQ(net.stats().sent.messages, 10u);
   EXPECT_EQ(net.stats().delivered.messages, 0u);
   EXPECT_EQ(net.stats().dropped_by_reason.at("corrupt"), 10u);
-  EXPECT_EQ(counter_value(sim, "net.chaos.corrupted"), 10u);
-  EXPECT_EQ(counter_value(sim, "net.dropped.corrupt"), 10u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.chaos.corrupted"), 10u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.dropped.corrupt"), 10u);
 }
 
 TEST(ChaosCorrupt, BitFlipDeliversTypedPayloadOrDrops) {
@@ -545,7 +540,7 @@ TEST(ChaosCorrupt, BitFlipDeliversTypedPayloadOrDrops) {
              core::wire::kJoinWire);
   }
   sim.run();
-  EXPECT_EQ(counter_value(sim, "net.chaos.corrupted"),
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.chaos.corrupted"),
             static_cast<std::uint64_t>(kSends));
   const auto& dropped = net.stats().dropped_by_reason;
   const std::uint64_t corrupt_drops =
@@ -579,7 +574,7 @@ TEST(ChaosCorrupt, KindsWithoutCodecsPassThroughUndamaged) {
     EXPECT_EQ(std::any_cast<int>(r1.got[static_cast<std::size_t>(i)].body),
               i);
   }
-  EXPECT_EQ(counter_value(sim, "net.chaos.corrupted"), 0u);
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.chaos.corrupted"), 0u);
 }
 
 TEST(ChaosCorrupt, SacRoundsCompleteAndStayExactUnderTruncation) {
@@ -602,9 +597,9 @@ TEST(ChaosCorrupt, SacRoundsCompleteAndStayExactUnderTruncation) {
     for (float v : s.results[2].second) {
       EXPECT_NEAR(v, 3.5f, 1e-3f) << "seed " << seed;
     }
-    EXPECT_GT(counter_value(s.sim, "net.chaos.corrupted"), 0u)
+    EXPECT_GT(s.sim.obs().metrics.counter_value("net.chaos.corrupted"), 0u)
         << "seed " << seed;
-    EXPECT_GT(counter_value(s.sim, "net.dropped.corrupt"), 0u)
+    EXPECT_GT(s.sim.obs().metrics.counter_value("net.dropped.corrupt"), 0u)
         << "seed " << seed;
   }
 }
@@ -629,7 +624,7 @@ TEST(ChaosCorrupt, SacRoundsCompleteUnderLowRateBitFlips) {
     ASSERT_TRUE(s.results.count(2)) << "round never completed, seed "
                                     << seed;
     EXPECT_EQ(s.results[2].second.size(), 8u) << "seed " << seed;
-    EXPECT_GT(counter_value(s.sim, "net.chaos.corrupted"), 0u)
+    EXPECT_GT(s.sim.obs().metrics.counter_value("net.chaos.corrupted"), 0u)
         << "seed " << seed;
   }
 }
@@ -647,25 +642,13 @@ TEST(ChaosAgg, DuplicationKeepsDeliveredBytesAtPaperCounts) {
   ncfg.faults.duplicate_prob = 1.0;
   net::Network net(sim, ncfg);
   const core::Topology topo = core::Topology::even(9, 3);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   core::AggregationConfig cfg;
   cfg.model_wire_bytes = kWire;
-  core::TwoLayerAggregator agg(
-      topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-        return *hosts.at(id);
-      });
+  core::TwoLayerAggregator agg(topo, cfg, net);
   std::optional<secagg::Vector> global;
   agg.on_global_model = [&](std::uint64_t, const secagg::Vector& g,
                             std::size_t) { global = g; };
-  core::RoundLeadership lead;
-  lead.subgroup_leaders = {0, 3, 6};
-  lead.fedavg_leader = 0;
-  agg.begin_round(1, lead, [](PeerId id) {
+  agg.begin_round(1, core::RoundLeadership::designated(topo), [](PeerId id) {
     return secagg::Vector(4, static_cast<float>(id + 1));
   });
   sim.run();
@@ -692,9 +675,9 @@ TEST(ChaosAgg, DuplicationKeepsDeliveredBytesAtPaperCounts) {
     if (kind.rfind("dup:", 0) == 0) dup_msgs += c.messages;
   }
   EXPECT_EQ(dup_msgs, st.duplicated.messages);
-  EXPECT_EQ(counter_value(sim, "net.delivered.dup.messages"),
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.delivered.dup.messages"),
             st.duplicated.messages);
-  EXPECT_EQ(counter_value(sim, "net.delivered.dup.bytes"),
+  EXPECT_EQ(sim.obs().metrics.counter_value("net.delivered.dup.bytes"),
             st.duplicated.bytes);
   // The headline number: the delivered model payload still sums to the
   // paper's Eq. (4) cost, mn^2 + mn - 2 model transfers for m = n = 3.
@@ -713,19 +696,10 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
   sim::Simulator sim(5);
   net::Network net(sim, {.base_latency = 15 * kMillisecond});
   const core::Topology topo = core::Topology::even(9, 3);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   core::AggregationConfig cfg;
   cfg.collect_timeout = 30 * kSecond;
   cfg.upload_retry = 400 * kMillisecond;
-  core::TwoLayerAggregator agg(
-      topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-        return *hosts.at(id);
-      });
+  core::TwoLayerAggregator agg(topo, cfg, net);
   std::optional<secagg::Vector> global;
   std::size_t groups_used = 0;
   agg.on_global_model = [&](std::uint64_t, const secagg::Vector& g,
@@ -736,10 +710,7 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
   net.set_kind_faults("agg/upload", {.drop_prob = 1.0});
   sim.schedule_at(1200 * kMillisecond,
                   [&] { net.clear_kind_faults("agg/upload"); });
-  core::RoundLeadership lead;
-  lead.subgroup_leaders = {0, 3, 6};
-  lead.fedavg_leader = 0;
-  agg.begin_round(1, lead, [](PeerId id) {
+  agg.begin_round(1, core::RoundLeadership::designated(topo), [](PeerId id) {
     return secagg::Vector(4, static_cast<float>(id + 1));
   });
   sim.run_for(30 * kSecond);
@@ -747,23 +718,42 @@ TEST(ChaosAgg, UploadRetryRecoversFromUploadLossWindow) {
   EXPECT_EQ(groups_used, 3u);
   EXPECT_EQ(agg.last_contributors().size(), 9u);
   for (float v : *global) EXPECT_NEAR(v, 5.0f, 1e-4f);  // mean of 1..9
-  EXPECT_GE(counter_value(sim, "agg.upload_retries"), 2u);
-  EXPECT_GT(counter_value(sim, "net.dropped.chaos_loss"), 0u);
+  EXPECT_GE(sim.obs().metrics.counter_value("agg.upload_retries"), 2u);
+  EXPECT_GT(sim.obs().metrics.counter_value("net.dropped.chaos_loss"), 0u);
 }
 
 // --- chaos soak (fast configuration; the long one lives in the slow
 // suite, see chaos_soak_test.cpp) -------------------------------------------
 
-ChaosSoakConfig fast_soak_config(std::uint64_t seed) {
+// 12 peers in 3 subgroups on a fresh simulator bed.
+struct SimSoak {
+  explicit SimSoak(std::uint64_t seed, net::NetworkConfig net = lossy())
+      : bed(core::TransportKind::kSim,
+            {.peers = 12, .groups = 3, .seed = seed}, net) {}
+  /// 5% loss and duplication.
+  static net::NetworkConfig lossy() {
+    net::NetworkConfig net;
+    net.faults.drop_prob = 0.05;
+    net.faults.duplicate_prob = 0.05;
+    return net;
+  }
+  ChaosSoakResult run(const ChaosSoakConfig& cfg) {
+    return run_chaos_soak(bed, cfg);
+  }
+  /// The trace stream of a run with tracing on.
+  std::string traced(const ChaosSoakConfig& cfg) {
+    bed.net().obs().trace.set_enabled(true);
+    run(cfg);
+    return obs::chrome_trace_json(bed.net().obs().trace);
+  }
+  core::Testbed bed;
+};
+
+ChaosSoakConfig fast_soak_config() {
   ChaosSoakConfig cfg;
-  cfg.peers = 12;
-  cfg.groups = 3;
   cfg.rounds = 8;
   cfg.dim = 4;
-  cfg.seed = seed;
   cfg.round_interval = 1 * kSecond;
-  cfg.net.faults.drop_prob = 0.05;
-  cfg.net.faults.duplicate_prob = 0.05;
   cfg.churn_mttf = 5 * kSecond;
   cfg.churn_mttr = 700 * kMillisecond;
   return cfg;
@@ -771,7 +761,7 @@ ChaosSoakConfig fast_soak_config(std::uint64_t seed) {
 
 TEST(ChaosSoak, FastSoakStaysLiveAndExact) {
   for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const ChaosSoakResult res = run_chaos_soak(fast_soak_config(seed));
+    const ChaosSoakResult res = SimSoak(seed).run(fast_soak_config());
     EXPECT_TRUE(res.liveness_ok) << "seed " << seed;
     EXPECT_TRUE(res.all_commits_exact)
         << "seed " << seed << " max error " << res.max_abs_error;
@@ -786,9 +776,9 @@ TEST(ChaosSoak, SoakStaysLiveAndExactUnderTruncation) {
   // frames never survive the strict decoders, so committed rounds stay
   // exact and the rejects land in the drop table.
   for (std::uint64_t seed : {1u, 6u}) {
-    ChaosSoakConfig cfg = fast_soak_config(seed);
-    cfg.net.faults.truncate_prob = 0.03;
-    const ChaosSoakResult res = run_chaos_soak(cfg);
+    net::NetworkConfig net = SimSoak::lossy();
+    net.faults.truncate_prob = 0.03;
+    const ChaosSoakResult res = SimSoak(seed, net).run(fast_soak_config());
     EXPECT_TRUE(res.liveness_ok) << "seed " << seed;
     EXPECT_TRUE(res.all_commits_exact)
         << "seed " << seed << " max error " << res.max_abs_error;
@@ -801,36 +791,32 @@ TEST(ChaosSoak, SoakStaysLiveUnderBitFlips) {
   // exactness is not promised — but every round still terminates and
   // the system keeps committing.
   for (std::uint64_t seed : {1u, 6u}) {
-    ChaosSoakConfig cfg = fast_soak_config(seed);
-    cfg.net.faults.corrupt_prob = 0.03;
-    const ChaosSoakResult res = run_chaos_soak(cfg);
+    net::NetworkConfig net = SimSoak::lossy();
+    net.faults.corrupt_prob = 0.03;
+    const ChaosSoakResult res = SimSoak(seed, net).run(fast_soak_config());
     EXPECT_TRUE(res.liveness_ok) << "seed " << seed;
     EXPECT_GE(res.rounds_committed, 3u) << "seed " << seed;
   }
 }
 
 TEST(ChaosSoak, CorruptionSoakIsByteIdenticalForSameSeed) {
-  ChaosSoakConfig cfg = fast_soak_config(14);
+  ChaosSoakConfig cfg = fast_soak_config();
   cfg.rounds = 5;
-  cfg.net.faults.corrupt_prob = 0.05;
-  cfg.net.faults.truncate_prob = 0.03;
-  cfg.capture_trace = true;
-  const ChaosSoakResult a = run_chaos_soak(cfg);
-  const ChaosSoakResult b = run_chaos_soak(cfg);
-  EXPECT_FALSE(a.trace_json.empty());
-  EXPECT_EQ(a.trace_json, b.trace_json);
+  net::NetworkConfig net = SimSoak::lossy();
+  net.faults.corrupt_prob = 0.05;
+  net.faults.truncate_prob = 0.03;
+  const std::string a = SimSoak(14, net).traced(cfg);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, SimSoak(14, net).traced(cfg));
 }
 
 TEST(ChaosSoak, PartitionDegradesThenHeals) {
   ChaosSoakConfig cfg;
-  cfg.peers = 12;
-  cfg.groups = 3;
   cfg.rounds = 8;
-  cfg.seed = 4;
   cfg.round_interval = 1 * kSecond;
   cfg.partition_at = 2 * kSecond + 100 * kMillisecond;
   cfg.heal_at = 4 * kSecond + 100 * kMillisecond;
-  const ChaosSoakResult res = run_chaos_soak(cfg);
+  const ChaosSoakResult res = SimSoak(4, {}).run(cfg);
   EXPECT_TRUE(res.liveness_ok);
   EXPECT_TRUE(res.all_commits_exact);
   // During the window the FedAvg leader only reaches its own island, so
@@ -838,29 +824,24 @@ TEST(ChaosSoak, PartitionDegradesThenHeals) {
   // participation returns.
   bool shrunk = false;
   for (const RoundOutcome& o : res.outcomes) {
-    if (o.committed && o.contributors < cfg.peers) shrunk = true;
+    if (o.committed && o.contributors < 12) shrunk = true;
   }
   EXPECT_TRUE(shrunk);
   ASSERT_FALSE(res.outcomes.empty());
   const RoundOutcome& last = res.outcomes.back();
   EXPECT_TRUE(last.committed);
-  EXPECT_EQ(last.contributors, cfg.peers);
+  EXPECT_EQ(last.contributors, 12u);
 }
 
 TEST(ChaosSoak, TraceStreamIsByteIdenticalForSameSeedAndPlan) {
-  ChaosSoakConfig cfg = fast_soak_config(9);
+  ChaosSoakConfig cfg = fast_soak_config();
   cfg.rounds = 5;
   cfg.partition_at = 1 * kSecond + 500 * kMillisecond;
   cfg.heal_at = 2 * kSecond + 500 * kMillisecond;
-  cfg.capture_trace = true;
-  const ChaosSoakResult a = run_chaos_soak(cfg);
-  const ChaosSoakResult b = run_chaos_soak(cfg);
-  EXPECT_FALSE(a.trace_json.empty());
-  EXPECT_EQ(a.trace_json, b.trace_json);
-  ChaosSoakConfig other = cfg;
-  other.seed = 10;
-  const ChaosSoakResult c = run_chaos_soak(other);
-  EXPECT_NE(a.trace_json, c.trace_json);
+  const std::string a = SimSoak(9).traced(cfg);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a, SimSoak(9).traced(cfg));
+  EXPECT_NE(a, SimSoak(10).traced(cfg));
 }
 
 }  // namespace

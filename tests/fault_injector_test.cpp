@@ -24,10 +24,6 @@
 namespace p2pfl::net {
 namespace {
 
-std::uint64_t counter_value(sim::Simulator& sim, const std::string& name) {
-  return sim.obs().metrics.counter_value(name);
-}
-
 TEST(FaultInjector, NoWindowsMeansNoDelay) {
   SimTime clock = 0;
   obs::Observability obs(&clock);
@@ -197,11 +193,12 @@ TEST(FaultInjectorSim, EngineExecutesTransportFaultPlan) {
   EXPECT_GE(r.arrived[3], 500 * kMillisecond);  // serialized at 1 MB/s
   EXPECT_LT(r.arrived[4], 20 * kMillisecond);
 
-  EXPECT_EQ(counter_value(sim, "chaos.transport.conn_reset"), 1u);
-  EXPECT_EQ(counter_value(sim, "chaos.transport.stall"), 1u);
-  EXPECT_EQ(counter_value(sim, "chaos.transport.throttle"), 1u);
+  const obs::MetricsRegistry& m = sim.obs().metrics;
+  EXPECT_EQ(m.counter_value("chaos.transport.conn_reset"), 1u);
+  EXPECT_EQ(m.counter_value("chaos.transport.stall"), 1u);
+  EXPECT_EQ(m.counter_value("chaos.transport.throttle"), 1u);
   // One explicit one-way window + the reset's modeled per-direction pair.
-  EXPECT_EQ(counter_value(sim, "chaos.transport.stall_windows"), 3u);
+  EXPECT_EQ(m.counter_value("chaos.transport.stall_windows"), 3u);
   EXPECT_EQ(engine.faults_injected(), 3u);
 }
 
@@ -224,9 +221,10 @@ TEST(FaultInjectorSim, ReconnectStormResetsPeriodically) {
   sim.run();
 
   // Ticks at 0,100,...,400 ms; the 500 ms tick sees `until` and stops.
-  EXPECT_EQ(counter_value(sim, "chaos.transport.conn_reset"), 5u);
+  const obs::MetricsRegistry& m = sim.obs().metrics;
+  EXPECT_EQ(m.counter_value("chaos.transport.conn_reset"), 5u);
   // Each sim-path reset models the outage as one stall per direction.
-  EXPECT_EQ(counter_value(sim, "chaos.transport.stall_windows"), 10u);
+  EXPECT_EQ(m.counter_value("chaos.transport.stall_windows"), 10u);
 }
 
 TEST(FaultInjectorSim, PlanWithoutTransportFaultsRegistersNoCounters) {

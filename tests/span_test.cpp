@@ -10,14 +10,15 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/engine.hpp"
 #include "chaos/plan.hpp"
 #include "chaos/soak.hpp"
+#include "core/scenario.hpp"
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
-#include "net/mux.hpp"
 #include "net/network.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/span.hpp"
@@ -203,42 +204,28 @@ TEST(CriticalPath, AbortedOrMissingRoundIsNotFound) {
 
 struct RoundFixture {
   explicit RoundFixture(std::uint64_t seed, net::LinkFaults faults = {})
-      : sim(seed), net(sim, make_cfg(faults)), topo(core::Topology::even(6, 2)) {
+      : sim(seed),
+        net(sim, {.faults = faults}),
+        topo(core::Topology::even(6, 2)) {
     sim.obs().spans.set_enabled(true);
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
     core::AggregationConfig cfg;
     cfg.collect_timeout = 1 * kSecond;
     cfg.sac_share_timeout = 150 * kMillisecond;
     cfg.sac_subtotal_timeout = 150 * kMillisecond;
     cfg.upload_retry = 300 * kMillisecond;
-    agg = std::make_unique<core::TwoLayerAggregator>(
-        topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-          return *hosts.at(id);
-        });
+    agg = std::make_unique<core::TwoLayerAggregator>(topo, cfg, net);
     agg->on_global_model = [this](std::uint64_t r, const secagg::Vector&,
                                   std::size_t) { committed_at[r] = sim.now(); };
-  }
-
-  static net::NetworkConfig make_cfg(const net::LinkFaults& faults) {
-    net::NetworkConfig cfg{.base_latency = 15 * kMillisecond};
-    cfg.faults = faults;
-    return cfg;
   }
 
   /// Runs rounds 1..n back to back, then tears down any undecided round.
   void run_rounds(std::uint64_t n) {
     for (std::uint64_t r = 1; r <= n; ++r) {
-      core::RoundLeadership lead;
-      lead.subgroup_leaders = {0, 3};
-      lead.fedavg_leader = 0;
       started_at[r] = sim.now();
-      agg->begin_round(r, lead, [](PeerId id) {
-        return secagg::Vector(4, static_cast<float>(id + 1));
-      });
+      agg->begin_round(r, core::RoundLeadership::designated(topo),
+                       [](PeerId id) {
+                         return secagg::Vector(4, static_cast<float>(id + 1));
+                       });
       sim.run_for(2 * kSecond);
     }
     agg->abort_round();
@@ -247,7 +234,6 @@ struct RoundFixture {
   sim::Simulator sim;
   net::Network net;
   core::Topology topo;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
   std::unique_ptr<core::TwoLayerAggregator> agg;
   std::map<std::uint64_t, SimTime> started_at;
   std::map<std::uint64_t, SimTime> committed_at;
@@ -333,24 +319,37 @@ TEST(SpanInvariants, HoldUnderChaosPlanAndAmbientFaults) {
 
 // --- determinism + flight recorder over the soak harness --------------------
 
-chaos::ChaosSoakConfig span_soak_config(std::uint64_t seed) {
+// A soak on a fresh simulator bed that records spans; returns the
+// result and the bed's span dump.
+std::pair<chaos::ChaosSoakResult, std::string> span_soak(
+    const core::ScenarioSpec& spec, const chaos::ChaosSoakConfig& cfg,
+    net::NetworkConfig net = {}) {
+  core::Testbed bed(core::TransportKind::kSim, spec, net);
+  bed.net().obs().spans.set_enabled(true);
+  chaos::ChaosSoakResult res = chaos::run_chaos_soak(bed, cfg);
+  return {std::move(res), spans_jsonl(bed.net().obs().spans)};
+}
+
+chaos::ChaosSoakConfig span_soak_config() {
   chaos::ChaosSoakConfig cfg;
-  cfg.peers = 6;
-  cfg.groups = 2;
   cfg.rounds = 4;
   cfg.dim = 4;
-  cfg.seed = seed;
   cfg.round_interval = 1 * kSecond;
-  cfg.capture_spans = true;
   return cfg;
 }
 
-TEST(SpanDeterminism, FaultFreeTwoSubgroupRoundIsByteIdentical) {
-  const chaos::ChaosSoakConfig cfg = span_soak_config(11);
-  const chaos::ChaosSoakResult a = run_chaos_soak(cfg);
-  const chaos::ChaosSoakResult b = run_chaos_soak(cfg);
-  ASSERT_FALSE(a.spans_jsonl.empty());
-  EXPECT_EQ(a.spans_jsonl, b.spans_jsonl);
+// Two same-seed runs dump identical spans and critical paths whose
+// phases sum exactly to the path.
+void check_span_determinism(std::uint64_t seed,
+                            const chaos::ChaosSoakConfig& cfg,
+                            const net::NetworkConfig& net,
+                            std::size_t min_crashes = 0) {
+  const core::ScenarioSpec spec{.peers = 6, .groups = 2, .seed = seed};
+  const auto [a, a_spans] = span_soak(spec, cfg, net);
+  const auto [b, b_spans] = span_soak(spec, cfg, net);
+  EXPECT_GE(a.crashes, min_crashes);
+  ASSERT_FALSE(a_spans.empty());
+  EXPECT_EQ(a_spans, b_spans);
   ASSERT_EQ(a.critical_paths.size(), b.critical_paths.size());
   ASSERT_GT(a.critical_paths.size(), 0u);
   for (std::size_t i = 0; i < a.critical_paths.size(); ++i) {
@@ -362,33 +361,23 @@ TEST(SpanDeterminism, FaultFreeTwoSubgroupRoundIsByteIdentical) {
     }
     EXPECT_EQ(phase_sum, a.critical_paths[i].total());
   }
+}
+
+TEST(SpanDeterminism, FaultFreeTwoSubgroupRoundIsByteIdentical) {
+  check_span_determinism(11, span_soak_config(), {});
 }
 
 TEST(SpanDeterminism, LeaderCrashRoundIsByteIdenticalAndSumsExactly) {
   // Churn crashes leaders too (the soak re-derives leadership from
   // liveness each round); attribution of the surviving commits must stay
   // exact and reproducible.
-  chaos::ChaosSoakConfig cfg = span_soak_config(7);
+  chaos::ChaosSoakConfig cfg = span_soak_config();
   cfg.rounds = 6;
-  cfg.net.faults.drop_prob = 0.05;
   cfg.churn_mttf = 2 * kSecond;
   cfg.churn_mttr = 700 * kMillisecond;
-  const chaos::ChaosSoakResult a = run_chaos_soak(cfg);
-  const chaos::ChaosSoakResult b = run_chaos_soak(cfg);
-  EXPECT_GT(a.crashes, 0u);
-  ASSERT_FALSE(a.spans_jsonl.empty());
-  EXPECT_EQ(a.spans_jsonl, b.spans_jsonl);
-  ASSERT_EQ(a.critical_paths.size(), b.critical_paths.size());
-  ASSERT_GT(a.critical_paths.size(), 0u);
-  for (std::size_t i = 0; i < a.critical_paths.size(); ++i) {
-    EXPECT_EQ(critical_path_table(a.critical_paths[i]),
-              critical_path_table(b.critical_paths[i]));
-    SimDuration phase_sum = 0;
-    for (const auto& [phase, d] : a.critical_paths[i].phase_totals) {
-      phase_sum += d;
-    }
-    EXPECT_EQ(phase_sum, a.critical_paths[i].total());
-  }
+  net::NetworkConfig net;
+  net.faults.drop_prob = 0.05;
+  check_span_determinism(7, cfg, net, /*min_crashes=*/1);
 }
 
 TEST(FlightRecorder, AbortedChaosRoundEmitsPostmortem) {
@@ -396,17 +385,15 @@ TEST(FlightRecorder, AbortedChaosRoundEmitsPostmortem) {
   // dumps its retained spans (unfinished work first) the moment
   // on_round_aborted fires.
   chaos::ChaosSoakConfig cfg;
-  cfg.peers = 12;
-  cfg.groups = 3;
   cfg.rounds = 8;
   cfg.dim = 4;
-  cfg.seed = 5;
   cfg.round_interval = 2 * kSecond;
-  cfg.capture_spans = true;
-  cfg.net.faults.drop_prob = 0.3;
   cfg.churn_mttf = 400 * kMillisecond;
   cfg.churn_mttr = 3 * kSecond;
-  const chaos::ChaosSoakResult res = run_chaos_soak(cfg);
+  net::NetworkConfig net;
+  net.faults.drop_prob = 0.3;
+  const chaos::ChaosSoakResult res =
+      span_soak({.peers = 12, .groups = 3, .seed = 5}, cfg, net).first;
   ASSERT_GT(res.rounds_aborted, 0u);
   ASSERT_FALSE(res.postmortems.empty());
   for (const auto& pm : res.postmortems) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "chaos/soak.hpp"
+#include "core/scenario.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
@@ -65,17 +66,16 @@ TEST(RoundSeries, JsonlHasOneLinePerRetainedSample) {
 // CI artifacts, plots) relies on.
 TEST(RoundTimeseries, GoldenJsonlIsDeterministicAcrossRuns) {
   const auto run = [] {
+    net::NetworkConfig net;
+    net.faults.drop_prob = 0.05;
+    core::Testbed bed(core::TransportKind::kSim,
+                      {.peers = 12, .groups = 3, .seed = 11}, net);
+    bed.net().obs().spans.set_enabled(true);
     chaos::ChaosSoakConfig cfg;
-    cfg.peers = 12;
-    cfg.groups = 3;
     cfg.rounds = 5;
-    cfg.seed = 11;
     cfg.round_interval = 500 * kMillisecond;
-    cfg.net.faults.drop_prob = 0.05;
-    cfg.capture_spans = true;
-    cfg.capture_timeseries = true;
     cfg.slo_rules = default_rules(/*max_latency_ms=*/400.0);
-    return chaos::run_chaos_soak(cfg);
+    return chaos::run_chaos_soak(bed, cfg);
   };
   const chaos::ChaosSoakResult a = run();
   const chaos::ChaosSoakResult b = run();

@@ -7,15 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/cost_model.hpp"
+#include "chaos/soak.hpp"
 #include "core/scenario.hpp"
 #include "core/two_layer_agg.hpp"
 #include "core/wire.hpp"
-#include "net/mux.hpp"
 #include "secagg/wire.hpp"
 
 namespace p2pfl::core {
@@ -38,28 +37,16 @@ net::TrafficStats run_round(TransportKind kind, std::size_t m, std::size_t n,
   const ScenarioSpec spec{.peers = m * n, .groups = m, .seed = 31};
   Testbed bed(kind, spec);
   const Topology topo = Topology::even(m * n, m);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    bed.net().attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   AggregationConfig cfg;
   cfg.sac_dropout_tolerance = tolerance;
-  TwoLayerAggregator agg(topo, cfg, bed.net(),
-                         [&](PeerId id) -> net::PeerHost& {
-                           return *hosts.at(id);
-                         });
+  TwoLayerAggregator agg(topo, cfg, bed.net());
   bool completed = false;
   agg.on_global_model = [&](std::uint64_t, const secagg::Vector&,
                             std::size_t) { completed = true; };
 
   bed.start();
-  RoundLeadership lead;
-  lead.subgroup_leaders = topo.designated_leaders();
-  lead.fedavg_leader = lead.subgroup_leaders.front();
   bed.call([&] {
-    agg.begin_round(1, lead, [dim](PeerId id) {
+    agg.begin_round(1, RoundLeadership::designated(topo), [dim](PeerId id) {
       return secagg::Vector(dim, static_cast<float>(id + 1));
     });
   });
@@ -132,6 +119,24 @@ void check_closed_forms(const net::TrafficStats& stats, std::size_t m,
   }
 }
 
+/// The two backends' per-kind sent counters are *identical* — message
+/// counts, wire bytes and |w|-unit payload, kind by kind.
+void expect_same_sent_by_kind(const net::TrafficStats& sim,
+                              const net::TrafficStats& tcp) {
+  const auto& a = sim.sent_by_kind;
+  const auto& b = tcp.sent_by_kind;
+  ASSERT_EQ(a.size(), b.size());
+  auto ia = a.begin();
+  auto ib = b.begin();
+  for (; ia != a.end(); ++ia, ++ib) {
+    SCOPED_TRACE(ia->first);
+    EXPECT_EQ(ia->first, ib->first);
+    EXPECT_EQ(ia->second.messages, ib->second.messages);
+    EXPECT_EQ(ia->second.bytes, ib->second.bytes);
+    EXPECT_EQ(ia->second.payload, ib->second.payload);
+  }
+}
+
 void check_backends_agree(std::size_t m, std::size_t n, std::size_t tolerance,
                           std::size_t dim) {
   SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
@@ -148,21 +153,7 @@ void check_backends_agree(std::size_t m, std::size_t n, std::size_t tolerance,
     SCOPED_TRACE("tcp backend");
     check_closed_forms(tcp, m, n, tolerance, dim);
   }
-
-  // The two backends' per-kind sent counters are *identical* — message
-  // counts, wire bytes and |w|-unit payload, kind by kind.
-  const auto& a = sim.sent_by_kind;
-  const auto& b = tcp.sent_by_kind;
-  ASSERT_EQ(a.size(), b.size());
-  auto ia = a.begin();
-  auto ib = b.begin();
-  for (; ia != a.end(); ++ia, ++ib) {
-    SCOPED_TRACE(ia->first);
-    EXPECT_EQ(ia->first, ib->first);
-    EXPECT_EQ(ia->second.messages, ib->second.messages);
-    EXPECT_EQ(ia->second.bytes, ib->second.bytes);
-    EXPECT_EQ(ia->second.payload, ib->second.payload);
-  }
+  expect_same_sent_by_kind(sim, tcp);
 }
 
 TEST(TransportEquivalence, FaultFreeRoundIdenticalAcrossBackends) {
@@ -171,6 +162,31 @@ TEST(TransportEquivalence, FaultFreeRoundIdenticalAcrossBackends) {
 
 TEST(TransportEquivalence, FaultTolerantRoundIdenticalAcrossBackends) {
   check_backends_agree(3, 4, 1, 5);
+}
+
+// --- the chaos soak on either transport ---------------------------------
+
+/// A fault-free soak on `kind` (12 peers in 3 subgroups, four 1 s rounds:
+/// about 4 s of wall time over TCP) stays live and commits only exact
+/// models; returns the Network's counters.
+net::TrafficStats run_soak(TransportKind kind) {
+  SCOPED_TRACE(kind == TransportKind::kSim ? "sim backend" : "tcp backend");
+  Testbed bed(kind, {.peers = 12, .groups = 3, .seed = 5});
+  chaos::ChaosSoakConfig cfg;
+  cfg.rounds = 4;
+  cfg.dim = 4;
+  cfg.round_interval = 1 * kSecond;
+  const chaos::ChaosSoakResult res = chaos::run_chaos_soak(bed, cfg);
+  EXPECT_TRUE(res.liveness_ok);
+  // Every commit is the exact mean of its contributors' constant models.
+  EXPECT_TRUE(res.all_commits_exact) << res.max_abs_error;
+  EXPECT_EQ(res.rounds_committed, 4u);
+  return bed.net().stats();
+}
+
+TEST(TransportEquivalence, ChaosSoakIsLiveExactAndCountsAlikeOnBothTransports) {
+  expect_same_sent_by_kind(run_soak(TransportKind::kSim),
+                           run_soak(TransportKind::kTcp));
 }
 
 // --- full-system FedAvg training over real sockets ----------------------

@@ -15,14 +15,7 @@ struct AggHarness {
       : topo(Topology::even(peers, groups)),
         sim(seed),
         net(sim, {.base_latency = 15 * kMillisecond}) {
-    for (PeerId p : topo.all_peers()) {
-      hosts.emplace(p, std::make_unique<net::PeerHost>());
-      net.attach(p, hosts.at(p).get());
-    }
-    agg = std::make_unique<TwoLayerAggregator>(
-        topo, cfg, net, [this](PeerId p) -> net::PeerHost& {
-          return *hosts.at(p);
-        });
+    agg = std::make_unique<TwoLayerAggregator>(topo, cfg, net);
     agg->on_global_model = [this](std::uint64_t, const secagg::Vector& g,
                                   std::size_t used) {
       global = g;
@@ -36,11 +29,8 @@ struct AggHarness {
   }
 
   void begin(std::uint64_t round = 1) {
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
     // Peer p contributes the constant vector (p+1).
-    agg->begin_round(round, lead, [](PeerId p) {
+    agg->begin_round(round, RoundLeadership::designated(topo), [](PeerId p) {
       return secagg::Vector(4, static_cast<float>(p + 1));
     });
   }
@@ -48,7 +38,6 @@ struct AggHarness {
   Topology topo;
   sim::Simulator sim;
   net::Network net;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
   std::unique_ptr<TwoLayerAggregator> agg;
   std::optional<secagg::Vector> global;
   std::size_t groups_used = 0;

@@ -9,8 +9,6 @@
 // payload to the paper's Eq. (4) (k = n) and Eq. (5) (k < n).
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -18,7 +16,6 @@
 #include "core/topology.hpp"
 #include "core/two_layer_agg.hpp"
 #include "core/wire.hpp"
-#include "net/mux.hpp"
 #include "net/network.hpp"
 #include "secagg/wire.hpp"
 #include "sim/simulator.hpp"
@@ -30,7 +27,6 @@ struct RoundRun {
   sim::Simulator sim;
   net::Network net;
   Topology topo;
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
   std::optional<TwoLayerAggregator> agg;
   bool completed = false;
 
@@ -39,23 +35,13 @@ struct RoundRun {
       : sim(31),
         net(sim, net::NetworkConfig{.base_latency = 15 * kMillisecond}),
         topo(Topology::even(m * n, m)) {
-    for (PeerId id : topo.all_peers()) {
-      auto host = std::make_unique<net::PeerHost>();
-      net.attach(id, host.get());
-      hosts.emplace(id, std::move(host));
-    }
     AggregationConfig cfg;
     cfg.sac_dropout_tolerance = tolerance;
     // No wire override: real encodings are charged byte-for-byte.
-    agg.emplace(topo, cfg, net, [this](PeerId id) -> net::PeerHost& {
-      return *hosts.at(id);
-    });
+    agg.emplace(topo, cfg, net);
     agg->on_global_model = [this](std::uint64_t, const secagg::Vector&,
                                   std::size_t) { completed = true; };
-    RoundLeadership lead;
-    lead.subgroup_leaders = topo.designated_leaders();
-    lead.fedavg_leader = lead.subgroup_leaders.front();
-    agg->begin_round(1, lead, [dim](PeerId id) {
+    agg->begin_round(1, RoundLeadership::designated(topo), [dim](PeerId id) {
       return secagg::Vector(dim, static_cast<float>(id + 1));
     });
     sim.run();
@@ -145,24 +131,13 @@ TEST(WireAccounting, ModeledCnnChargesDeclareTheirDelta) {
   sim::Simulator sim(32);
   net::Network net(sim, net::NetworkConfig{.base_latency = 15 * kMillisecond});
   const Topology topo = Topology::even(9, 3);
-  std::map<PeerId, std::unique_ptr<net::PeerHost>> hosts;
-  for (PeerId id : topo.all_peers()) {
-    auto host = std::make_unique<net::PeerHost>();
-    net.attach(id, host.get());
-    hosts.emplace(id, std::move(host));
-  }
   AggregationConfig cfg;
   cfg.model_wire_bytes = kCnn;
-  TwoLayerAggregator agg(topo, cfg, net, [&](PeerId id) -> net::PeerHost& {
-    return *hosts.at(id);
-  });
+  TwoLayerAggregator agg(topo, cfg, net);
   bool completed = false;
   agg.on_global_model = [&](std::uint64_t, const secagg::Vector&,
                             std::size_t) { completed = true; };
-  RoundLeadership lead;
-  lead.subgroup_leaders = topo.designated_leaders();
-  lead.fedavg_leader = lead.subgroup_leaders.front();
-  agg.begin_round(1, lead, [](PeerId id) {
+  agg.begin_round(1, RoundLeadership::designated(topo), [](PeerId id) {
     return secagg::Vector(4, static_cast<float>(id + 1));
   });
   sim.run();
