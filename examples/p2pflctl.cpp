@@ -723,6 +723,27 @@ int cmd_attack(const bench::Args& args) {
   return json ? emit_json(verdict, ok, honest_struck) : (ok ? 0 : 1);
 }
 
+// Default shape of the soak-backed `chaos`, `explain` and `watch`.
+constexpr long kSoakPeers = 12;
+constexpr long kSoakGroups = 3;
+
+/// Shape and round count of the soak-backed subcommands: prints the
+/// usage error and returns false unless peers >= groups >= 1 and
+/// rounds >= 1.
+bool soak_flags_ok(const bench::Args& args) {
+  const long peers = args.get_int("peers", kSoakPeers);
+  const long groups = args.get_int("groups", kSoakGroups);
+  if (groups < 1 || peers < groups) {
+    std::fprintf(stderr, "need --peers >= --groups >= 1\n");
+    return false;
+  }
+  if (args.get_int("rounds", 10) < 1) {
+    std::fprintf(stderr, "need --rounds >= 1\n");
+    return false;
+  }
+  return true;
+}
+
 /// Simulator bed of the soak-backed `chaos`, `explain` and `watch`
 /// (they differ only in default loss and duplication rates).
 core::Testbed soak_bed(const bench::Args& args, double default_loss,
@@ -738,7 +759,7 @@ core::Testbed soak_bed(const bench::Args& args, double default_loss,
     net.faults.reorder_jitter = reorder_ms * kMillisecond;
   }
   return core::Testbed(core::TransportKind::kSim,
-                       scenario_flags(args, 12, 3, 1), net);
+                       scenario_flags(args, kSoakPeers, kSoakGroups, 1), net);
 }
 
 /// Round plan of the soak-backed subcommands.
@@ -896,6 +917,7 @@ int cmd_chaos(const bench::Args& args) {
   const std::optional<core::TransportKind> transport = transport_flag(args);
   if (!transport) return 2;
   if (*transport == core::TransportKind::kTcp) return cmd_chaos_tcp(args);
+  if (!soak_flags_ok(args)) return 2;
   core::Testbed bed = soak_bed(args, 0.05, 0.05);
   const core::ScenarioSpec& spec = bed.spec();
   const net::LinkFaults& faults = bed.net().config().faults;
@@ -956,6 +978,7 @@ int cmd_chaos(const bench::Args& args) {
 int cmd_explain(const bench::Args& args) {
   // Fault-free by default; any `chaos` fault flag turns the same scenario
   // into a chaotic one (the spans and post-mortems tell the story).
+  if (!soak_flags_ok(args)) return 2;
   core::Testbed bed = soak_bed(args, 0.0, 0.0);
   obs::SpanRecorder& spans = bed.net().obs().spans;
   spans.set_enabled(true);
@@ -1021,6 +1044,7 @@ int cmd_watch(const bench::Args& args) {
   // Same scenario surface as `chaos`, fault-free by default, watched by
   // the SLO engine: a live per-round table while the soak runs, then the
   // per-rule report and one alert post-mortem per breach.
+  if (!soak_flags_ok(args)) return 2;
   core::Testbed bed = soak_bed(args, 0.0, 0.0);
   bed.net().obs().spans.set_enabled(true);
   const core::ScenarioSpec& spec = bed.spec();

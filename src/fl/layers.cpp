@@ -1,11 +1,215 @@
 #include "fl/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/parallel.hpp"
 
+// The conv kernels are compiled for several x86-64 levels and the loader
+// picks the widest the CPU runs. Every clone performs the same operations
+// in the same order, so results are bit-identical on any CPU; this file
+// builds with -ffp-contract=off so no clone fuses a*b+c. The forward's
+// generic vectors are sized for AVX-512 registers: without AVX-512 they
+// live in memory, and an AVX2 clone ran slower than the baseline one.
+// ThreadSanitizer builds get the baseline only: GCC's clone resolver runs
+// before the TSan runtime is up and crashes the program at load.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
+#define P2PFL_FL_KERNEL \
+  __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define P2PFL_FL_FORWARD_KERNEL \
+  __attribute__((target_clones("arch=x86-64-v4", "default")))
+#else
+#define P2PFL_FL_KERNEL
+#define P2PFL_FL_FORWARD_KERNEL
+#endif
+
 namespace p2pfl::fl {
+namespace {
+
+// Generic vectors: one AVX-512 register each for F16 and D8; the
+// compiler splits them to fit narrower clones.
+using F16 = float __attribute__((vector_size(64)));
+using D8 = double __attribute__((vector_size(64)));
+
+// Filters per forward block: one F16 of weights and two D8 accumulators
+// (low and high eight filters) per output pixel.
+constexpr std::size_t kConvBlock = 16;
+// Interior output pixels (all taps inside the image) computed together,
+// sharing each weight load.
+constexpr std::size_t kConvPixels = 4;
+
+/// acc += (double)(w * x), lane by lane, for the 16 filters of a block.
+/// Widening each half element by element lets the AVX-512 clone convert
+/// eight floats in one instruction.
+#define P2PFL_CONV_MAC(lo, hi, wv, xv)                                    \
+  do {                                                                    \
+    const F16 pr = (wv) * (xv);                                           \
+    lo += D8{pr[0], pr[1], pr[2], pr[3], pr[4], pr[5], pr[6], pr[7]};     \
+    hi += D8{pr[8], pr[9], pr[10], pr[11], pr[12], pr[13], pr[14], pr[15]}; \
+  } while (false)
+
+/// dst[j][i] = src[i][j] for a rows x cols matrix.
+void transpose(const float* src, std::size_t rows, std::size_t cols,
+               float* dst) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      dst[j * rows + i] = src[i * cols + j];
+    }
+  }
+}
+
+// Conv2d summation order. Every output sums its terms in the order of
+// the direct loop nest the kernels replaced (tests/reference_kernels.hpp):
+//   forward  y[f][p]      double, bias then (double)(w*x) over c, ky, kx;
+//   weights  gw[f][c][q]  float, onto the existing value, over s, oy, ox;
+//   bias     gb[f]        float, onto the existing value, over s, oy, ox;
+//   input    gx[c][p]     float, from 0, over f, then oy, ox;
+// skipping out-of-image taps and zero output gradients. The kernels
+// vectorise across filters, pixels or channels, never along a sum.
+
+/// Forward of one sample for one block of kConvBlock filters (the first
+/// nf are real): x is (C, h, w), wb is [c][ky][kx][f], y is (F, h, w)
+/// starting at the block's first filter.
+P2PFL_FL_FORWARD_KERNEL
+void conv_forward_block(const float* __restrict x, const float* __restrict wb,
+                        const float* __restrict bb, float* __restrict y,
+                        std::size_t nf, std::size_t c_in, std::size_t h,
+                        std::size_t w, std::size_t k) {
+  const std::size_t pad = k / 2, hw = h * w;
+  D8 bias_lo, bias_hi;
+  for (std::size_t j = 0; j < 8; ++j) {
+    bias_lo[j] = bb[j];
+    bias_hi[j] = bb[8 + j];
+  }
+  for (std::size_t oy = 0; oy < h; ++oy) {
+    const std::size_t ky0 = oy < pad ? pad - oy : 0;
+    const std::size_t ky1 = std::min(k, h + pad - oy);
+    std::size_t ox = 0;
+    while (ox < w) {
+      D8 lo[kConvPixels], hi[kConvPixels];
+      std::size_t np = 1;
+      if (ox >= pad && ox + kConvPixels + pad <= w) {
+        // kConvPixels interior pixels: every kx tap is inside the row.
+        np = kConvPixels;
+        for (std::size_t p = 0; p < kConvPixels; ++p) {
+          lo[p] = bias_lo;
+          hi[p] = bias_hi;
+        }
+        for (std::size_t c = 0; c < c_in; ++c) {
+          for (std::size_t ky = ky0; ky < ky1; ++ky) {
+            const float* xr = x + c * hw + (oy + ky - pad) * w + ox - pad;
+            const float* wr = wb + (c * k + ky) * k * kConvBlock;
+            for (std::size_t kx = 0; kx < k; ++kx) {
+              F16 wv;
+              std::memcpy(&wv, wr + kx * kConvBlock, sizeof wv);
+#pragma GCC unroll 4
+              for (std::size_t p = 0; p < kConvPixels; ++p) {
+                P2PFL_CONV_MAC(lo[p], hi[p], wv, xr[kx + p]);
+              }
+            }
+          }
+        }
+      } else {
+        // One border pixel: taps kx in [kx0, kx1) are inside the image.
+        const std::size_t kx0 = ox < pad ? pad - ox : 0;
+        const std::size_t kx1 = std::min(k, w + pad - ox);
+        lo[0] = bias_lo;
+        hi[0] = bias_hi;
+        for (std::size_t c = 0; c < c_in; ++c) {
+          for (std::size_t ky = ky0; ky < ky1; ++ky) {
+            const float* xr =
+                x + c * hw + (oy + ky - pad) * w + ox + kx0 - pad;
+            const float* wr = wb + ((c * k + ky) * k + kx0) * kConvBlock;
+            for (std::size_t t = 0; t < kx1 - kx0; ++t) {
+              F16 wv;
+              std::memcpy(&wv, wr + t * kConvBlock, sizeof wv);
+              P2PFL_CONV_MAC(lo[0], hi[0], wv, xr[t]);
+            }
+          }
+        }
+      }
+      for (std::size_t p = 0; p < np; ++p) {
+        for (std::size_t j = 0; j < nf; ++j) {
+          const double v = j < 8 ? lo[p][j] : hi[p][j - 8];
+          y[j * hw + oy * w + ox + p] = static_cast<float>(v);
+        }
+      }
+      ox += np;
+    }
+  }
+}
+
+#undef P2PFL_CONV_MAC
+
+/// Input gradient of one sample, channels-last: gy is (F, h, w), wt is
+/// [f][ky][kx][c], gxt is [p][c] and starts at zero.
+P2PFL_FL_KERNEL
+void conv_input_grad(const float* __restrict gy, const float* __restrict wt,
+                     float* __restrict gxt, std::size_t filters,
+                     std::size_t c_in, std::size_t h, std::size_t w,
+                     std::size_t k) {
+  const std::size_t pad = k / 2, hw = h * w;
+  for (std::size_t f = 0; f < filters; ++f) {
+    for (std::size_t oy = 0; oy < h; ++oy) {
+      const std::size_t ky0 = oy < pad ? pad - oy : 0;
+      const std::size_t ky1 = std::min(k, h + pad - oy);
+      for (std::size_t ox = 0; ox < w; ++ox) {
+        const float g = gy[f * hw + oy * w + ox];
+        if (g == 0.0f) continue;
+        const std::size_t kx0 = ox < pad ? pad - ox : 0;
+        const std::size_t kx1 = std::min(k, w + pad - ox);
+        // Taps kx0..kx1 of one kernel row are contiguous in both wt and
+        // gxt, channels innermost.
+        const std::size_t n = (kx1 - kx0) * c_in;
+        for (std::size_t ky = ky0; ky < ky1; ++ky) {
+          float* dst = gxt + ((oy + ky - pad) * w + ox + kx0 - pad) * c_in;
+          const float* src = wt + ((f * k + ky) * k + kx0) * c_in;
+          for (std::size_t j = 0; j < n; ++j) dst[j] += g * src[j];
+        }
+      }
+    }
+  }
+}
+
+/// Weight and bias gradients of filter f over the batch, channels-last:
+/// gy is (B, F, h, w), xt is [s][p][c], gwt is the filter's [ky][kx][c].
+P2PFL_FL_KERNEL
+void conv_filter_grad(const float* __restrict gy, const float* __restrict xt,
+                      float* __restrict gwt, float* __restrict gb,
+                      std::size_t batch, std::size_t filters, std::size_t f,
+                      std::size_t c_in, std::size_t h, std::size_t w,
+                      std::size_t k) {
+  const std::size_t pad = k / 2, hw = h * w;
+  float bias = *gb;
+  for (std::size_t s = 0; s < batch; ++s) {
+    const float* gp = gy + (s * filters + f) * hw;
+    const float* xs = xt + s * hw * c_in;
+    for (std::size_t oy = 0; oy < h; ++oy) {
+      const std::size_t ky0 = oy < pad ? pad - oy : 0;
+      const std::size_t ky1 = std::min(k, h + pad - oy);
+      for (std::size_t ox = 0; ox < w; ++ox) {
+        const float g = gp[oy * w + ox];
+        if (g == 0.0f) continue;
+        bias += g;
+        const std::size_t kx0 = ox < pad ? pad - ox : 0;
+        const std::size_t kx1 = std::min(k, w + pad - ox);
+        const std::size_t n = (kx1 - kx0) * c_in;
+        for (std::size_t ky = ky0; ky < ky1; ++ky) {
+          float* dst = gwt + (ky * k + kx0) * c_in;
+          const float* src =
+              xs + ((oy + ky - pad) * w + ox + kx0 - pad) * c_in;
+          for (std::size_t j = 0; j < n; ++j) dst[j] += g * src[j];
+        }
+      }
+    }
+  }
+  *gb = bias;
+}
+
+}  // namespace
 
 // --- Dense -------------------------------------------------------------------
 
@@ -54,17 +258,19 @@ Tensor Dense::backward(const Tensor& grad_out) {
   float* gw = grads_.data();
   float* gb = grads_.data() + out_ * in_;
 
-  // Parameter gradients (serial over batch: accumulation race otherwise).
-  for (std::size_t s = 0; s < batch; ++s) {
-    const float* xin = x.data() + s * in_;
-    const float* gy = grad_out.data() + s * out_;
-    for (std::size_t o = 0; o < out_; ++o) {
+  // Parameter gradients, rows in parallel: each row still sums over the
+  // batch in sample order.
+  parallel_for_chunked(0, out_, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t o = lo; o < hi; ++o) {
       float* gwrow = gw + o * in_;
-      const float g = gy[o];
-      for (std::size_t i = 0; i < in_; ++i) gwrow[i] += g * xin[i];
-      gb[o] += g;
+      for (std::size_t s = 0; s < batch; ++s) {
+        const float* xin = x.data() + s * in_;
+        const float g = grad_out.data()[s * out_ + o];
+        for (std::size_t i = 0; i < in_; ++i) gwrow[i] += g * xin[i];
+        gb[o] += g;
+      }
     }
-  }
+  });
 
   Tensor gx({batch, in_});
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
@@ -160,42 +366,30 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   P2PFL_CHECK(x.rank() == 4 && x.dim(1) == in_c_);
   cached_input_ = x;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k_ / 2);
-  Tensor y({batch, filters_, h, w});
-  const float* wt = params_.data();
-  const float* bias = params_.data() + filters_ * in_c_ * k_ * k_;
-
-  parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      const float* xin = x.data() + s * in_c_ * h * w;
-      float* yout = y.data() + s * filters_ * h * w;
-      for (std::size_t f = 0; f < filters_; ++f) {
-        const float* wf = wt + f * in_c_ * k_ * k_;
-        for (std::size_t oy = 0; oy < h; ++oy) {
-          for (std::size_t ox = 0; ox < w; ++ox) {
-            double acc = bias[f];
-            for (std::size_t c = 0; c < in_c_; ++c) {
-              const float* xc = xin + c * h * w;
-              const float* wc = wf + c * k_ * k_;
-              for (std::size_t ky = 0; ky < k_; ++ky) {
-                const std::ptrdiff_t iy =
-                    static_cast<std::ptrdiff_t>(oy + ky) - pad;
-                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-                for (std::size_t kx = 0; kx < k_; ++kx) {
-                  const std::ptrdiff_t ix =
-                      static_cast<std::ptrdiff_t>(ox + kx) - pad;
-                  if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) {
-                    continue;
-                  }
-                  acc += wc[ky * k_ + kx] * xc[iy * w + ix];
-                }
-              }
-            }
-            yout[f * h * w + oy * w + ox] = static_cast<float>(acc);
-          }
-        }
-      }
+  const std::size_t ckk = in_c_ * k_ * k_;
+  const std::size_t blocks = (filters_ + kConvBlock - 1) / kConvBlock;
+  // Weights regrouped per block of filters, filter innermost and zero-
+  // padded to whole blocks: wb[block][c][ky][kx][f % kConvBlock].
+  std::vector<float> wb(blocks * ckk * kConvBlock, 0.0f);
+  std::vector<float> bb(blocks * kConvBlock, 0.0f);
+  for (std::size_t f = 0; f < filters_; ++f) {
+    float* dst = wb.data() + (f / kConvBlock) * ckk * kConvBlock +
+                 f % kConvBlock;
+    for (std::size_t j = 0; j < ckk; ++j) {
+      dst[j * kConvBlock] = params_[f * ckk + j];
     }
+    bb[f] = params_[filters_ * ckk + f];
+  }
+
+  Tensor y({batch, filters_, h, w});
+  parallel_for(0, batch * blocks, [&](std::size_t i) {
+    const std::size_t s = i / blocks, b = i % blocks;
+    conv_forward_block(x.data() + s * in_c_ * h * w,
+                       wb.data() + b * ckk * kConvBlock,
+                       bb.data() + b * kConvBlock,
+                       y.data() + (s * filters_ + b * kConvBlock) * h * w,
+                       std::min(kConvBlock, filters_ - b * kConvBlock), in_c_,
+                       h, w, k_);
   });
   return y;
 }
@@ -203,49 +397,39 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
 Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
-  P2PFL_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == filters_);
-  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(k_ / 2);
-  const float* wt = params_.data();
-  float* gw = grads_.data();
-  float* gb = grads_.data() + filters_ * in_c_ * k_ * k_;
-  Tensor gx({batch, in_c_, h, w});
-
-  // Serial over batch: parameter-gradient accumulation is shared.
-  for (std::size_t s = 0; s < batch; ++s) {
-    const float* xin = x.data() + s * in_c_ * h * w;
-    const float* gy = grad_out.data() + s * filters_ * h * w;
-    float* gxi = gx.data() + s * in_c_ * h * w;
-    for (std::size_t f = 0; f < filters_; ++f) {
-      const float* wf = wt + f * in_c_ * k_ * k_;
-      float* gwf = gw + f * in_c_ * k_ * k_;
-      const float* gyf = gy + f * h * w;
-      for (std::size_t oy = 0; oy < h; ++oy) {
-        for (std::size_t ox = 0; ox < w; ++ox) {
-          const float g = gyf[oy * w + ox];
-          if (g == 0.0f) continue;
-          gb[f] += g;
-          for (std::size_t c = 0; c < in_c_; ++c) {
-            const float* xc = xin + c * h * w;
-            float* gxc = gxi + c * h * w;
-            const float* wc = wf + c * k_ * k_;
-            float* gwc = gwf + c * k_ * k_;
-            for (std::size_t ky = 0; ky < k_; ++ky) {
-              const std::ptrdiff_t iy =
-                  static_cast<std::ptrdiff_t>(oy + ky) - pad;
-              if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) continue;
-              for (std::size_t kx = 0; kx < k_; ++kx) {
-                const std::ptrdiff_t ix =
-                    static_cast<std::ptrdiff_t>(ox + kx) - pad;
-                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w)) continue;
-                gwc[ky * k_ + kx] += g * xc[iy * w + ix];
-                gxc[iy * w + ix] += g * wc[ky * k_ + kx];
-              }
-            }
-          }
-        }
-      }
-    }
+  P2PFL_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
+              grad_out.dim(1) == filters_ && grad_out.dim(2) == h &&
+              grad_out.dim(3) == w);
+  const std::size_t hw = h * w, kk = k_ * k_, ckk = in_c_ * kk;
+  // Channels-last copies: xT[s][p][c] and wT[f][ky][kx][c].
+  std::vector<float> xt(batch * hw * in_c_), wt(filters_ * ckk);
+  parallel_for(0, batch, [&](std::size_t s) {
+    transpose(x.data() + s * in_c_ * hw, in_c_, hw, xt.data() + s * hw * in_c_);
+  });
+  for (std::size_t f = 0; f < filters_; ++f) {
+    transpose(params_.data() + f * ckk, in_c_, kk, wt.data() + f * ckk);
   }
+
+  // Input gradient: one sample per task.
+  Tensor gx({batch, in_c_, h, w});
+  parallel_for(0, batch, [&](std::size_t s) {
+    std::vector<float> gxt(hw * in_c_, 0.0f);
+    conv_input_grad(grad_out.data() + s * filters_ * hw, wt.data(),
+                    gxt.data(), filters_, in_c_, h, w, k_);
+    transpose(gxt.data(), hw, in_c_, gx.data() + s * in_c_ * hw);
+  });
+
+  // Weight and bias gradients: one filter per task, accumulated onto the
+  // existing grads in a channels-last copy of the filter.
+  float* gb = grads_.data() + filters_ * ckk;
+  parallel_for(0, filters_, [&](std::size_t f) {
+    float* gwf = grads_.data() + f * ckk;
+    std::vector<float> gwt(ckk);
+    transpose(gwf, in_c_, kk, gwt.data());
+    conv_filter_grad(grad_out.data(), xt.data(), gwt.data(), gb + f, batch,
+                     filters_, f, in_c_, h, w, k_);
+    transpose(gwt.data(), kk, in_c_, gwf);
+  });
   return gx;
 }
 

@@ -85,7 +85,10 @@ class Dropout : public Layer {
 };
 
 /// 3x3 (configurable) same-padding convolution: (B, C, H, W) ->
-/// (B, F, H, W). Naive direct kernels parallelized over the batch.
+/// (B, F, H, W). Direct kernels vectorised across filters, pixels or
+/// channels and parallel over samples and filters; every output is
+/// bit-identical to the plain loop nest at any worker count (see
+/// DESIGN.md, "FL kernels").
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t filters,

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
@@ -58,6 +61,55 @@ TEST(Parallel, WorkerOverrideRoundTrips) {
   EXPECT_EQ(sum.load(), 4950);
   set_parallel_workers(0);  // restore hardware default
   EXPECT_EQ(parallel_workers(), before == 0 ? parallel_workers() : before);
+}
+
+TEST(Parallel, NestedCallInsideAWorkerCompletes) {
+  set_parallel_workers(4);
+  std::vector<std::atomic<int>> hits(8 * 50);
+  parallel_for(0, 8, [&](std::size_t i) {
+    // Runs inline on whichever thread holds the outer chunk.
+    parallel_for(0, 50, [&](std::size_t j) { hits[i * 50 + j]++; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  set_parallel_workers(0);
+}
+
+TEST(Parallel, ConcurrentCallersEachCoverTheirRangeOnce) {
+  set_parallel_workers(3);
+  // One caller gets the pool, the other runs inline; both must finish
+  // with every index of their own range hit exactly once.
+  std::vector<std::atomic<int>> a(20000), b(30011);
+  auto cover = [](std::vector<std::atomic<int>>& hits) {
+    for (int rep = 0; rep < 20; ++rep) {
+      parallel_for_chunked(0, hits.size(),
+                           [&](std::size_t lo, std::size_t hi) {
+                             for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+                           });
+    }
+  };
+  std::thread other([&] { cover(b); });
+  cover(a);
+  other.join();
+  for (const auto& h : a) EXPECT_EQ(h.load(), 20);
+  for (const auto& h : b) EXPECT_EQ(h.load(), 20);
+  set_parallel_workers(0);
+}
+
+TEST(Parallel, PoolResizesBetweenCalls) {
+  for (std::size_t workers : {2, 4, 1, 3, 2}) {
+    set_parallel_workers(workers);
+    std::mutex mu;
+    std::set<std::thread::id> threads;
+    std::vector<std::atomic<int>> hits(97);
+    parallel_for(0, hits.size(), [&](std::size_t i) {
+      hits[i]++;
+      std::lock_guard<std::mutex> lock(mu);
+      threads.insert(std::this_thread::get_id());
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_LE(threads.size(), workers);
+  }
+  set_parallel_workers(0);
 }
 
 TEST(Log, LevelGatingAndRestore) {
