@@ -86,7 +86,6 @@ void report_accuracy_and_leakage() {
   {
     secagg::SplitOptions opts;
     opts.scheme = secagg::SplitScheme::kUniformMask;
-    opts.mask_range = 1.0;
     const Vector avg = secagg::sac_average(models, rng, opts);
     const auto shares = secagg::divide(models[0], n, rng, opts);
     std::printf("uniform mask          %9.2e     %18.3f\n",

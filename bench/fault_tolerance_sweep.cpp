@@ -64,14 +64,8 @@ Outcome run_case(std::size_t m, std::size_t n, Scenario scenario,
       break;
     }
     case Scenario::kLeaderReplacement: {
-      const PeerId fed = sys.fedavg_leader();
-      for (SubgroupId g = 0; g < m; ++g) {
-        const PeerId l = sys.subgroup_leader(g);
-        if (l != kNoPeer && l != fed) {
-          victims.push_back(l);
-          break;
-        }
-      }
+      const std::vector<PeerId> fed_followers = sys.fedavg_followers();
+      if (!fed_followers.empty()) victims.push_back(fed_followers.front());
       break;
     }
     case Scenario::kFatal: {

@@ -69,18 +69,12 @@ inline TrialResult run_recovery_trial(CrashKind kind, SimDuration timeout_t,
   }
   if (!sys.stabilized()) return out;
 
-  const PeerId fed = sys.fedavg_leader();
+  const std::vector<PeerId> fed_followers = sys.fedavg_followers();
   PeerId victim = kNoPeer;
   if (kind == CrashKind::kFedAvgLeader) {
-    victim = fed;
-  } else {
-    for (SubgroupId g = 0; g < groups; ++g) {
-      const PeerId l = sys.subgroup_leader(g);
-      if (l != fed) {
-        victim = l;
-        break;
-      }
-    }
+    victim = sys.fedavg_leader();
+  } else if (!fed_followers.empty()) {
+    victim = fed_followers.front();
   }
   if (victim == kNoPeer) return out;
   const SubgroupId victim_group = sys.topology().subgroup_of(victim);

@@ -77,7 +77,8 @@
 // machine-readable verdict document instead of the human tables. Exit
 // codes are uniform across subcommands: 0 = healthy / contained /
 // passed, 1 = degraded / breach / failed, 2 = usage error (unknown
-// command, unknown flag value, unwritable output path).
+// command, unknown flag value, out-of-range shape or timing flag,
+// unwritable output path).
 #include <dirent.h>
 #include <unistd.h>
 
@@ -87,6 +88,7 @@
 #include <cstring>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/cost_model.hpp"
@@ -109,32 +111,48 @@ using namespace p2pfl;
 
 namespace {
 
-/// `--transport=sim|tcp` of `train` and `chaos` (default sim). Any
-/// other value is a usage error: prints it and returns nullopt (exit 2).
-std::optional<core::TransportKind> transport_flag(const bench::Args& args) {
+/// A bad flag value: main() prints it and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Throws UsageError(message) unless `ok`.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw UsageError(message);
+}
+
+/// `--transport=sim|tcp` of `train` and `chaos` (default sim); true for
+/// tcp. Any other value is a usage error.
+bool tcp_transport_flag(const bench::Args& args) {
   const std::string transport = args.get("transport", "sim");
-  if (transport == "sim") return core::TransportKind::kSim;
-  if (transport == "tcp") return core::TransportKind::kTcp;
-  std::fprintf(stderr, "unknown transport '%s' (sim|tcp)\n",
-               transport.c_str());
-  return std::nullopt;
+  require(transport == "sim" || transport == "tcp",
+          "unknown transport '" + transport + "' (sim|tcp)");
+  return transport == "tcp";
 }
 
 /// `--peers`, `--groups` and `--seed`, with a subcommand's defaults.
+/// Requires peers >= groups >= 1; TCP runs (`equal_groups`) also need
+/// groups to divide peers.
 core::ScenarioSpec scenario_flags(const bench::Args& args, long peers,
-                                  long groups, long seed) {
+                                  long groups, long seed,
+                                  bool equal_groups = false) {
+  peers = args.get_int("peers", peers);
+  groups = args.get_int("groups", groups);
+  require(groups >= 1 && peers >= groups, "need --peers >= --groups >= 1");
+  require(!equal_groups || peers % groups == 0,
+          "tcp transport needs --peers divisible by --groups");
   core::ScenarioSpec spec;
-  spec.peers = static_cast<std::size_t>(args.get_int("peers", peers));
-  spec.groups = static_cast<std::size_t>(args.get_int("groups", groups));
+  spec.peers = static_cast<std::size_t>(peers);
+  spec.groups = static_cast<std::size_t>(groups);
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", seed));
   return spec;
 }
 
-/// TCP runs need equal subgroups; prints the usage error otherwise.
-bool tcp_shape_ok(const core::ScenarioSpec& spec) {
-  if (spec.groups != 0 && spec.peers % spec.groups == 0) return true;
-  std::fprintf(stderr, "tcp transport needs --peers divisible by --groups\n");
-  return false;
+/// `--timeout-ms` (Raft election timeout T) of `health` and `recovery`.
+SimDuration timeout_flag(const bench::Args& args, long default_ms) {
+  const long ms = args.get_int("timeout-ms", default_ms);
+  require(ms > 0, "need --timeout-ms > 0");
+  return ms * kMillisecond;
 }
 
 // `train --transport=tcp`: the same two-layer FedAvg system, but over
@@ -145,8 +163,8 @@ bool tcp_shape_ok(const core::ScenarioSpec& spec) {
 int cmd_train_tcp(const bench::Args& args) {
   const std::size_t rounds =
       static_cast<std::size_t>(args.get_int("rounds", 10));
-  const core::ScenarioSpec spec = scenario_flags(args, 20, 5, 3);
-  if (!tcp_shape_ok(spec)) return 2;
+  const core::ScenarioSpec spec =
+      scenario_flags(args, 20, 5, 3, /*equal_groups=*/true);
   const std::size_t n = spec.peers / spec.groups;
 
   core::Testbed bed(core::TransportKind::kTcp, spec);
@@ -202,17 +220,25 @@ int cmd_train_tcp(const bench::Args& args) {
 }
 
 int cmd_train(const bench::Args& args) {
-  const std::optional<core::TransportKind> transport = transport_flag(args);
-  if (!transport) return 2;
-  if (*transport == core::TransportKind::kTcp) return cmd_train_tcp(args);
+  if (tcp_transport_flag(args)) return cmd_train_tcp(args);
+  const long peers = args.get_int("peers", 10);
+  const long groups = args.get_int("groups", 0);
+  const long group_size = args.get_int("n", 3);
+  const long rounds = args.get_int("rounds", 50);
+  const double fraction = args.get_double("fraction", 1.0);
+  require(peers >= 1 && groups >= 0 && groups <= peers,
+          "need --peers >= 1 and 0 <= --groups <= --peers");
+  require(groups > 0 || (group_size >= 0 && group_size <= peers),
+          "need 0 <= --n <= --peers");
+  require(rounds >= 1, "need --rounds >= 1");
+  require(fraction > 0.0 && fraction <= 1.0, "need 0 < --fraction <= 1");
   core::FlExperimentConfig cfg;
-  cfg.peers = static_cast<std::size_t>(args.get_int("peers", 10));
-  cfg.subgroups = static_cast<std::size_t>(args.get_int("groups", 0));
-  cfg.group_size = static_cast<std::size_t>(args.get_int("n", 3));
-  if (cfg.subgroups > 0) cfg.group_size = 0;
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 50));
+  cfg.peers = static_cast<std::size_t>(peers);
+  cfg.subgroups = static_cast<std::size_t>(groups);
+  cfg.group_size = groups > 0 ? 0 : static_cast<std::size_t>(group_size);
+  cfg.rounds = static_cast<std::size_t>(rounds);
   cfg.sac_k = static_cast<std::size_t>(args.get_int("k", 0));
-  cfg.fraction_p = args.get_double("fraction", 1.0);
+  cfg.fraction_p = fraction;
   cfg.dropout_after_share_prob = args.get_double("dropout", 0.0);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   cfg.weight_by_samples = args.has("weighted");
@@ -255,10 +281,14 @@ int cmd_train(const bench::Args& args) {
 }
 
 int cmd_cost(const bench::Args& args) {
-  const std::size_t N = static_cast<std::size_t>(args.get_int("peers", 30));
-  const std::size_t n = static_cast<std::size_t>(args.get_int("n", 3));
-  const std::size_t k =
-      static_cast<std::size_t>(args.get_int("k", static_cast<long>(n)));
+  const long peers = args.get_int("peers", 30);
+  const long group_size = args.get_int("n", 3);
+  const long threshold = args.get_int("k", group_size);
+  require(group_size >= 1 && group_size <= peers, "need 1 <= --n <= --peers");
+  require(threshold >= 1 && threshold <= group_size, "need 1 <= --k <= --n");
+  const std::size_t N = static_cast<std::size_t>(peers);
+  const std::size_t n = static_cast<std::size_t>(group_size);
+  const std::size_t k = static_cast<std::size_t>(threshold);
   const analysis::ModelSize w{
       static_cast<std::uint64_t>(args.get_int("params", 1'250'000))};
   const auto groups = analysis::subgroups_by_target_size(N, n);
@@ -277,7 +307,7 @@ int cmd_cost(const bench::Args& args) {
 
 int cmd_recovery(const bench::Args& args, bool traced = false) {
   const core::ScenarioSpec spec = scenario_flags(args, 25, 5, 1);
-  const SimDuration T = args.get_int("timeout-ms", 150) * kMillisecond;
+  const SimDuration T = timeout_flag(args, 150);
   const bool crash_fed = args.get("crash", "sub") == "fed";
 
   core::Testbed bed(core::TransportKind::kSim, spec);
@@ -315,16 +345,11 @@ int cmd_recovery(const bench::Args& args, bool traced = false) {
     std::printf("failed to stabilize\n");
     return 1;
   }
-  const PeerId fed = sys.fedavg_leader();
-  PeerId victim = fed;
-  if (!crash_fed) {
-    for (SubgroupId g = 0; g < spec.groups; ++g) {
-      if (sys.subgroup_leader(g) != fed) {
-        victim = sys.subgroup_leader(g);
-        break;
-      }
-    }
-  }
+  // A subgroup leader other than the FedAvg leader, unless there is none.
+  const std::vector<PeerId> fed_followers = sys.fedavg_followers();
+  const PeerId victim = crash_fed || fed_followers.empty()
+                            ? sys.fedavg_leader()
+                            : fed_followers.front();
   std::printf("[%7.0fms] *** crashing %s leader, peer %u ***\n",
               to_ms(sim.now()), crash_fed ? "the FedAvg" : "a subgroup",
               victim);
@@ -460,7 +485,8 @@ void durability_metrics_json(bench::JsonWriter& w,
 
 int cmd_health(const bench::Args& args) {
   const core::ScenarioSpec spec = scenario_flags(args, 12, 3, 1);
-  const SimDuration T = args.get_int("timeout-ms", 100) * kMillisecond;
+  require(spec.peers > spec.groups, "need --peers > --groups (a follower)");
+  const SimDuration T = timeout_flag(args, 100);
   const std::size_t tolerance =
       static_cast<std::size_t>(args.get_int("tolerance", 1));
   const bool amnesia = args.has("amnesia");
@@ -578,17 +604,13 @@ int cmd_attack(const bench::Args& args) {
 
   robust::AttackKind kind;
   const std::string attack = args.get("attack", "inconsistent_shares");
-  if (!robust::attack_from_name(attack, kind) ||
-      kind == robust::AttackKind::kNone) {
-    std::fprintf(stderr, "unknown attack '%s'\n", attack.c_str());
-    return 2;
-  }
+  require(robust::attack_from_name(attack, kind) &&
+              kind != robust::AttackKind::kNone,
+          "unknown attack '" + attack + "'");
   robust::RobustRule rule;
   const std::string defense = args.get("defense", "trimmed_mean");
-  if (!robust::rule_from_name(defense, rule)) {
-    std::fprintf(stderr, "unknown defense '%s'\n", defense.c_str());
-    return 2;
-  }
+  require(robust::rule_from_name(defense, rule),
+          "unknown defense '" + defense + "'");
   // Equivocation only manifests on retries, so give it a lossy network
   // by default (retries carry the divergent payloads).
   const bool detectable =
@@ -598,6 +620,7 @@ int cmd_attack(const bench::Args& args) {
       "loss", kind == robust::AttackKind::kEquivocate ? 0.15 : 0.0);
 
   const core::ScenarioSpec spec = scenario_flags(args, 12, 3, 7);
+  require(spec.peers > spec.groups, "need --peers > --groups (a follower)");
   core::Testbed bed(core::TransportKind::kSim, spec,
                     {.faults = {.drop_prob = loss}});
   const sim::Simulator& sim = *bed.sim();
@@ -727,23 +750,6 @@ int cmd_attack(const bench::Args& args) {
 constexpr long kSoakPeers = 12;
 constexpr long kSoakGroups = 3;
 
-/// Shape and round count of the soak-backed subcommands: prints the
-/// usage error and returns false unless peers >= groups >= 1 and
-/// rounds >= 1.
-bool soak_flags_ok(const bench::Args& args) {
-  const long peers = args.get_int("peers", kSoakPeers);
-  const long groups = args.get_int("groups", kSoakGroups);
-  if (groups < 1 || peers < groups) {
-    std::fprintf(stderr, "need --peers >= --groups >= 1\n");
-    return false;
-  }
-  if (args.get_int("rounds", 10) < 1) {
-    std::fprintf(stderr, "need --rounds >= 1\n");
-    return false;
-  }
-  return true;
-}
-
 /// Simulator bed of the soak-backed `chaos`, `explain` and `watch`
 /// (they differ only in default loss and duplication rates).
 core::Testbed soak_bed(const bench::Args& args, double default_loss,
@@ -762,12 +768,17 @@ core::Testbed soak_bed(const bench::Args& args, double default_loss,
                        scenario_flags(args, kSoakPeers, kSoakGroups, 1), net);
 }
 
-/// Round plan of the soak-backed subcommands.
+/// Round plan of the soak-backed subcommands; requires rounds >= 1 and
+/// interval > 0.
 chaos::ChaosSoakConfig soak_config(const bench::Args& args) {
+  const long rounds = args.get_int("rounds", 10);
+  const long interval_ms = args.get_int("interval", 1000);
+  require(rounds >= 1, "need --rounds >= 1");
+  require(interval_ms > 0, "need --interval > 0");
   chaos::ChaosSoakConfig cfg;
-  cfg.rounds = static_cast<std::size_t>(args.get_int("rounds", 10));
+  cfg.rounds = static_cast<std::size_t>(rounds);
   cfg.dim = static_cast<std::size_t>(args.get_int("dim", 8));
-  cfg.round_interval = args.get_int("interval", 1000) * kMillisecond;
+  cfg.round_interval = interval_ms * kMillisecond;
   cfg.churn_mttf = args.get_int("churn-mttf", 0) * kMillisecond;
   cfg.churn_mttr = args.get_int("churn-mttr", 1000) * kMillisecond;
   cfg.partition_at = args.get_int("partition-at", 0) * kMillisecond;
@@ -793,8 +804,8 @@ int cmd_chaos_tcp(const bench::Args& args) {
   const bool resume = args.has("resume");
   std::string wal_dir = args.get("wal", "");
   if (wal_dir.empty()) wal_dir = "p2pflctl_chaos_wal";
-  const core::ScenarioSpec spec = scenario_flags(args, 12, 3, 7);
-  if (!tcp_shape_ok(spec)) return 2;
+  const core::ScenarioSpec spec =
+      scenario_flags(args, 12, 3, 7, /*equal_groups=*/true);
   if (!resume) wipe_wal_dir(wal_dir);
 
   core::Testbed bed(core::TransportKind::kTcp, spec);
@@ -914,10 +925,7 @@ int cmd_chaos_tcp(const bench::Args& args) {
 }
 
 int cmd_chaos(const bench::Args& args) {
-  const std::optional<core::TransportKind> transport = transport_flag(args);
-  if (!transport) return 2;
-  if (*transport == core::TransportKind::kTcp) return cmd_chaos_tcp(args);
-  if (!soak_flags_ok(args)) return 2;
+  if (tcp_transport_flag(args)) return cmd_chaos_tcp(args);
   core::Testbed bed = soak_bed(args, 0.05, 0.05);
   const core::ScenarioSpec& spec = bed.spec();
   const net::LinkFaults& faults = bed.net().config().faults;
@@ -978,7 +986,6 @@ int cmd_chaos(const bench::Args& args) {
 int cmd_explain(const bench::Args& args) {
   // Fault-free by default; any `chaos` fault flag turns the same scenario
   // into a chaotic one (the spans and post-mortems tell the story).
-  if (!soak_flags_ok(args)) return 2;
   core::Testbed bed = soak_bed(args, 0.0, 0.0);
   obs::SpanRecorder& spans = bed.net().obs().spans;
   spans.set_enabled(true);
@@ -1044,7 +1051,6 @@ int cmd_watch(const bench::Args& args) {
   // Same scenario surface as `chaos`, fault-free by default, watched by
   // the SLO engine: a live per-round table while the soak runs, then the
   // per-rule report and one alert post-mortem per breach.
-  if (!soak_flags_ok(args)) return 2;
   core::Testbed bed = soak_bed(args, 0.0, 0.0);
   bed.net().obs().spans.set_enabled(true);
   const core::ScenarioSpec& spec = bed.spec();
@@ -1117,11 +1123,16 @@ int cmd_wire(const bench::Args& args) {
   secagg::wire::register_codecs("ml");
   core::wire::register_codecs();
 
+  const long dim = args.get_int("dim", 8);
+  const long n = args.get_int("n", 4);
+  const long k = args.get_int("k", n - 1);
+  require(dim >= 0, "need --dim >= 0");
+  require(n >= 1, "need --n >= 1");
+  require(k >= 0 && k <= n, "need 0 <= --k <= --n");
   net::WireSample shape;
-  shape.dim = static_cast<std::size_t>(args.get_int("dim", 8));
-  shape.n = static_cast<std::size_t>(args.get_int("n", 4));
-  shape.k = static_cast<std::size_t>(
-      args.get_int("k", static_cast<long>(shape.n - 1)));
+  shape.dim = static_cast<std::size_t>(dim);
+  shape.n = static_cast<std::size_t>(n);
+  shape.k = static_cast<std::size_t>(k);
   Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
   std::printf("codec catalog for dim=%zu, n=%zu, k=%zu:\n", shape.dim,
@@ -1161,18 +1172,7 @@ int cmd_wire(const bench::Args& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: p2pflctl "
-                 "<train|cost|health|attack|recovery|trace|chaos|explain|"
-                 "watch|wire> [--key=value...]\n");
-    return 2;
-  }
-  const bench::Args args(argc - 1, argv + 1);
-  const std::string cmd = argv[1];
+int run(const std::string& cmd, const bench::Args& args) {
   if (cmd == "train") return cmd_train(args);
   if (cmd == "cost") return cmd_cost(args);
   if (cmd == "health") return cmd_health(args);
@@ -1185,4 +1185,22 @@ int main(int argc, char** argv) {
   if (cmd == "wire") return cmd_wire(args);
   std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
   return 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc < 2) {
+    std::fprintf(stderr,
+                 "usage: p2pflctl "
+                 "<train|cost|health|attack|recovery|trace|chaos|explain|"
+                 "watch|wire> [--key=value...]\n");
+    return 2;
+  }
+  try {
+    return run(argv[1], bench::Args(argc - 1, argv + 1));
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
 }

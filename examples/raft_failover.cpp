@@ -67,14 +67,7 @@ int main() {
   print_state(sys, sim);
 
   std::printf("\n== crash a subgroup leader (Figs. 10-11 case) ==\n");
-  const PeerId fed = sys.fedavg_leader();
-  PeerId victim = kNoPeer;
-  for (SubgroupId g = 0; g < 3; ++g) {
-    if (sys.subgroup_leader(g) != fed) {
-      victim = sys.subgroup_leader(g);
-      break;
-    }
-  }
+  const PeerId victim = sys.fedavg_followers().at(0);
   std::printf("[%7.0fms] *** peer %u (subgroup leader) crashes ***\n",
               to_ms(sim.now()), victim);
   sys.crash_peer(victim);

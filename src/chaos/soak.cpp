@@ -16,6 +16,11 @@ namespace p2pfl::chaos {
 
 namespace {
 
+/// Dropouts each subgroup tolerates after its share phase (Alg. 4 k).
+constexpr std::size_t kDropoutTolerance = 2;
+/// Max |committed − exact| accepted as float-accumulation noise.
+constexpr double kExactTol = 5e-3;
+
 // Leadership from liveness: first live member leads its subgroup, first
 // live subgroup leader chairs the FedAvg layer (the Raft backend's
 // steady-state answer, without running Raft here). fedavg_leader stays
@@ -81,7 +86,7 @@ ChaosSoakResult run_chaos_soak(core::Testbed& bed,
   const core::Topology topo = core::Topology::even(spec.peers, spec.groups);
 
   core::AggregationConfig acfg;
-  acfg.sac_dropout_tolerance = cfg.dropout_tolerance;
+  acfg.sac_dropout_tolerance = kDropoutTolerance;
   // Every started round must resolve (commit or fail) within its slot so
   // the next round never inherits an undecided predecessor.
   acfg.collect_timeout = cfg.round_interval;
@@ -102,7 +107,7 @@ ChaosSoakResult run_chaos_soak(core::Testbed& bed,
     core::WatchdogConfig wcfg;
     wcfg.rules = cfg.slo_rules;
     wcfg.model_payload_bytes = 4 * static_cast<std::uint64_t>(cfg.dim);
-    wcfg.dropout_tolerance = cfg.dropout_tolerance;
+    wcfg.dropout_tolerance = kDropoutTolerance;
     watchdog = std::make_unique<core::RoundWatchdog>(net, topo, wcfg);
     watchdog->on_sample = cfg.on_sample;
   }
@@ -168,7 +173,7 @@ ChaosSoakResult run_chaos_soak(core::Testbed& bed,
         ++res.rounds_committed;
         res.max_abs_error =
             std::max(res.max_abs_error, current->max_abs_error);
-        if (current->max_abs_error > cfg.exact_tol) {
+        if (current->max_abs_error > kExactTol) {
           res.all_commits_exact = false;
         }
       } else {

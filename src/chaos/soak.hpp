@@ -44,8 +44,6 @@ struct ChaosSoakConfig {
   std::size_t rounds = 10;
   std::size_t dim = 8;
   SimDuration round_interval = 2 * kSecond;
-  /// Dropouts each subgroup tolerates after its share phase (Alg. 4 k).
-  std::size_t dropout_tolerance = 2;
   /// Crash/restart churn across all peers during the bulk of the run
   /// (0 = none). Churn stops three intervals before the end so the
   /// trailing rounds demonstrate recovery.
@@ -56,8 +54,6 @@ struct ChaosSoakConfig {
   SimTime heal_at = 0;
   /// SAC share-phase retransmission budget (generous: ambient loss).
   std::size_t sac_share_retries = 6;
-  /// Max |committed − exact| accepted as float-accumulation noise.
-  double exact_tol = 5e-3;
   /// SLO rules the RoundWatchdog evaluates per round; the watchdog runs
   /// (and fills the time-series fields of the result) exactly when this
   /// is non-empty. Alert post-mortems need spans for evidence.

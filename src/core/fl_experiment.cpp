@@ -230,14 +230,14 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
           crashed[i] = sac_rng.chance(cfg.dropout_after_share_prob);
         }
         auto ft = secagg::fault_tolerant_sac_average(
-            models, k, crashed, sac_rng, cfg.split);
+            models, k, crashed, sac_rng);
         if (!ft.ok) {
           ++result.subgroup_quorum_failures;
           continue;  // below quorum: subgroup misses this round
         }
         finish_group(std::move(ft.average));
       } else {
-        finish_group(secagg::sac_average(models, sac_rng, cfg.split));
+        finish_group(secagg::sac_average(models, sac_rng));
       }
     }
 
@@ -252,8 +252,8 @@ FlExperimentResult run_fl_experiment(const FlExperimentConfig& cfg,
     rec.train_loss = train_loss;
     if (round % cfg.eval_every == 0 || round == cfg.rounds) {
       global_model.set_params(global);
-      const fl::EvalResult ev = fl::evaluate_model(
-          global_model, data.test, eval_rng, cfg.eval_samples);
+      const fl::EvalResult ev =
+          fl::evaluate_model(global_model, data.test, eval_rng);
       rec.test_accuracy = ev.accuracy;
       rec.test_loss = ev.loss;
       result.final_accuracy = ev.accuracy;

@@ -75,7 +75,6 @@ struct FlExperimentConfig {
   /// (exercises Alg. 4 recovery; a subgroup below quorum k drops out of
   /// the round).
   double dropout_after_share_prob = 0.0;
-  secagg::SplitOptions split;
 
   ModelKind model = ModelKind::kMlp;
   std::vector<std::size_t> mlp_hidden = {64};
@@ -83,8 +82,7 @@ struct FlExperimentConfig {
   fl::TrainOptions train;  // 1 epoch, batch 50 (paper defaults)
   float learning_rate = 1e-4f;  // Adam, as in §VI-A1
 
-  std::size_t eval_every = 5;
-  std::size_t eval_samples = 0;  // 0 = full test set
+  std::size_t eval_every = 5;  // evaluates on the full test set
   std::uint64_t seed = 42;
 
   // --- Byzantine robustness (bench/attack_sweep) -------------------------

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "fl/checkpoint.hpp"
 #include "fl/optimizer.hpp"
@@ -235,11 +234,8 @@ void P2pFlSystem::drive_round(PeerId self) {
       if (!health.has_value()) {
         health = raft_.health(cfg_.agg.sac_dropout_tolerance);
       }
-      if (!health->subgroups[g].parked) {
-        P2PFL_DEBUG() << "round driver: subgroup " << g
-                      << " has no leader yet, postponing round";
-        return;
-      }
+      // Not parked: the subgroup is mid-election; postpone the round.
+      if (!health->subgroups[g].parked) return;
       if (!parked_[g]) {
         parked_[g] = 1;
         o.metrics.counter("subgroup.parked").add(1);

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "fl/fedavg.hpp"
 #include "secagg/wire.hpp"
 
 namespace p2pfl::core {
 
 namespace {
+/// Resends of an unanswered "agg/upload" before the subgroup leader gives
+/// up on the round.
+constexpr std::size_t kUploadRetryLimit = 5;
+
 std::string sac_channel(SubgroupId g) { return "sac/sg" + std::to_string(g); }
 }  // namespace
 
@@ -34,7 +38,6 @@ TwoLayerAggregator::TwoLayerAggregator(
   wire::register_codecs();
   secagg::SacActorOptions sac_opts;
   sac_opts.k = 0;  // per-round thresholds are passed to begin_round
-  sac_opts.split = cfg_.split;
   sac_opts.broadcast_subtotals = false;
   sac_opts.wire_bytes_per_share = cfg_.model_wire_bytes;
   sac_opts.share_timeout = cfg_.sac_share_timeout;
@@ -330,7 +333,7 @@ void TwoLayerAggregator::sac_complete(PeerState& p, RoundId round,
 void TwoLayerAggregator::retry_upload(PeerState& p) {
   if (!p.pending_upload || p.pending_upload->round != round_) return;
   if (net_.crashed(p.id)) return;
-  if (p.upload_attempts >= cfg_.upload_retry_limit) {
+  if (p.upload_attempts >= kUploadRetryLimit) {
     obs::Observability& ob = net_.obs();
     ob.metrics.counter("agg.uploads_abandoned").add(1);
     ob.spans.close_aborted(p.upload_span);
@@ -426,8 +429,9 @@ void TwoLayerAggregator::fed_maybe_aggregate(PeerState& p, bool timed_out) {
   if (fed_->uploads.empty()) {
     fed_->done = true;
     collect_timer_.cancel();
-    P2PFL_WARN() << "aggregation round " << fed_->round
-                 << " produced no subgroup models";
+    std::fprintf(stderr,
+                 "[WARN] aggregation round %llu produced no subgroup models\n",
+                 static_cast<unsigned long long>(fed_->round));
     o.metrics.counter("agg.rounds_failed").add(1);
     o.spans.close_aborted(fed_->collect_span);
     o.spans.close_aborted(fed_->round_span);

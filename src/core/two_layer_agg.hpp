@@ -46,7 +46,6 @@ struct AggregationConfig {
   /// (floored at 1). 0 = plain n-out-of-n SAC. A "k-n setting" of the
   /// paper maps to sac_dropout_tolerance = n - k.
   std::size_t sac_dropout_tolerance = 0;
-  secagg::SplitOptions split;
   /// Wire size of one model transfer; 0 = 4 bytes * model dimension.
   std::uint64_t model_wire_bytes = 0;
   /// Fraction p of subgroup models the FedAvg leader waits for.
@@ -60,12 +59,11 @@ struct AggregationConfig {
   /// the silent peers (see SacActorOptions::share_retry_limit).
   std::size_t sac_share_retry_limit = 2;
   /// Subgroup-leader "agg/upload" retry: first resend after upload_retry,
-  /// doubling up to 8x, at most upload_retry_limit resends; stops as soon
-  /// as the round's result (or a new round) arrives. In a fault-free
-  /// round the result arrives long before the first resend, so the wire
-  /// cost is unchanged.
+  /// doubling up to 8x, at most five resends; stops as soon as the
+  /// round's result (or a new round) arrives. In a fault-free round the
+  /// result arrives long before the first resend, so the wire cost is
+  /// unchanged.
   SimDuration upload_retry = 1 * kSecond;
-  std::size_t upload_retry_limit = 5;
   /// FedAvg-layer aggregation rule over the subgroup subtotals. The
   /// default (kMean) is the paper's plain weighted FedAvg, bit-exact
   /// with every pre-Byzantine golden; trimmed mean / median / norm-clip

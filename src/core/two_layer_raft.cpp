@@ -5,12 +5,21 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "common/serialize.hpp"
 
 namespace p2pfl::core {
 
 namespace {
+
+/// Snapshot the config logs after this many applied entries (they grow
+/// forever otherwise — one config commit every interval).
+constexpr std::size_t kConfigLogCompactionThreshold = 64;
+
+/// Raft options of either layer: the caller's, with config-log compaction.
+raft::RaftOptions layer_options(raft::RaftOptions opts) {
+  opts.compaction_threshold = kConfigLogCompactionThreshold;
+  return opts;
+}
 
 constexpr std::uint8_t kFedConfigCommand = 1;
 
@@ -113,8 +122,7 @@ TwoLayerRaftSystem::TwoLayerRaftSystem(Topology topology,
     const bool is_designated =
         std::find(designated.begin(), designated.end(), id) !=
         designated.end();
-    raft::RaftOptions sg_opts = opts_.raft;
-    sg_opts.compaction_threshold = opts_.log_compaction_threshold;
+    raft::RaftOptions sg_opts = layer_options(opts_.raft);
     if (is_designated) {
       // Bootstrap determinism: the designated representative campaigns
       // first, so the initial subgroup leaders coincide with the initial
@@ -211,17 +219,14 @@ void TwoLayerRaftSystem::wire_subgroup_node(Peer& p) {
 }
 
 void TwoLayerRaftSystem::make_fed_node(Peer& p) {
-  raft::RaftOptions fed_opts = opts_.raft;
-  fed_opts.compaction_threshold = opts_.log_compaction_threshold;
   if (!opts_.storage_dir.empty() && !p.fed_storage) {
     p.fed_storage = std::make_unique<raft::WalStorage>(fed_storage_prefix(p));
   }
   p.fed_node.reset();  // unroute any predecessor first
   p.fed_node = std::make_unique<raft::RaftNode>(
-      p.id, kFedChannel, p.known_fed_cfg, fed_opts, net_, p.host,
-      p.fed_storage.get());
+      p.id, kFedChannel, p.known_fed_cfg, layer_options(opts_.raft), net_,
+      p.host, p.fed_storage.get());
   p.fed_node->on_become_leader = [this, &p] {
-    P2PFL_DEBUG() << "peer " << p.id << " became FedAvg-layer leader";
     if (on_fedavg_leader) on_fedavg_leader(p.id);
   };
   p.fed_node->on_config_adopted = [this, &p](const std::vector<PeerId>& cfg) {
@@ -254,8 +259,6 @@ void TwoLayerRaftSystem::ensure_fed_node(Peer& p) {
 }
 
 void TwoLayerRaftSystem::handle_subgroup_leadership(Peer& p) {
-  P2PFL_DEBUG() << "peer " << p.id << " became leader of subgroup "
-                << p.subgroup;
   if (on_subgroup_leader) on_subgroup_leader(p.subgroup, p.id);
   // §V-A1 post-leader-election callback: join the FedAvg layer using the
   // configuration learned through the subgroup's replicated log.
@@ -359,7 +362,6 @@ void TwoLayerRaftSystem::check_join_complete(Peer& p) {
   p.join_timer->cancel();
   if (!p.announced_join) {
     p.announced_join = true;
-    P2PFL_DEBUG() << "peer " << p.id << " joined the FedAvg layer";
     obs::Observability& o = net_.obs();
     o.metrics.counter("fed.joins_completed").add(1);
     if (o.trace.category_enabled("raft")) {
@@ -832,9 +834,7 @@ void TwoLayerRaftSystem::crash_peer(PeerId peer) {
 }
 
 void TwoLayerRaftSystem::rebuild_from_storage(Peer& p) {
-  raft::RaftOptions sg_opts = opts_.raft;
-  sg_opts.compaction_threshold = opts_.log_compaction_threshold;
-  make_sg_node(p, topology_.group(p.subgroup), sg_opts);
+  make_sg_node(p, topology_.group(p.subgroup), layer_options(opts_.raft));
   if (p.sg_node->recovered_from_storage()) {
     p.sg_node->restart();
   } else {
@@ -891,9 +891,7 @@ void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
   if (p.fed_storage) p.fed_storage->wipe();
   p.announced_join = false;
   p.known_fed_cfg = topology_.designated_leaders();
-  raft::RaftOptions sg_opts = opts_.raft;
-  sg_opts.compaction_threshold = opts_.log_compaction_threshold;
-  make_sg_node(p, {}, sg_opts);
+  make_sg_node(p, {}, layer_options(opts_.raft));
   p.sg_node->start();
   obs::Observability& o = net_.obs();
   o.metrics.counter("membership.amnesia_restarts").add(1);
@@ -905,10 +903,6 @@ void TwoLayerRaftSystem::restart_peer_amnesia(PeerId peer) {
   p.fed_contact_mark = net_.now();
   p.supervise_timer->arm_periodic(opts_.membership_poll);
   start_rejoin(p);
-}
-
-bool TwoLayerRaftSystem::peer_crashed(PeerId peer) const {
-  return net_.crashed(peer);
 }
 
 PeerId TwoLayerRaftSystem::subgroup_leader(SubgroupId g) const {
@@ -973,6 +967,16 @@ std::vector<PeerId> TwoLayerRaftSystem::pure_followers() const {
   return out;
 }
 
+std::vector<PeerId> TwoLayerRaftSystem::fedavg_followers() const {
+  const PeerId fed = fedavg_leader();
+  std::vector<PeerId> out;
+  for (SubgroupId g = 0; g < topology_.subgroup_count(); ++g) {
+    const PeerId l = subgroup_leader(g);
+    if (l != kNoPeer && l != fed) out.push_back(l);
+  }
+  return out;
+}
+
 bool TwoLayerRaftSystem::stabilized() const {
   std::vector<PeerId> leaders;
   for (SubgroupId g = 0; g < topology_.subgroup_count(); ++g) {
@@ -997,10 +1001,6 @@ bool TwoLayerRaftSystem::stabilized() const {
 
 raft::RaftNode& TwoLayerRaftSystem::subgroup_node(PeerId peer) {
   return *peer_ref(peer).sg_node;
-}
-
-raft::RaftNode* TwoLayerRaftSystem::fedavg_node(PeerId peer) {
-  return peer_ref(peer).fed_node.get();
 }
 
 net::PeerHost& TwoLayerRaftSystem::host(PeerId peer) {

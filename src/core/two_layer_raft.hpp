@@ -50,9 +50,6 @@ struct TwoLayerRaftOptions {
   /// Interval at which a subgroup leader commits the FedAvg-layer
   /// configuration into its subgroup log.
   SimDuration config_commit_interval = 200 * kMillisecond;
-  /// Snapshot the config logs after this many applied entries (they grow
-  /// forever otherwise — one config commit every interval). 0 disables.
-  std::size_t log_compaction_threshold = 64;
 
   // --- self-healing membership -------------------------------------------
   // Leaders suspect and evict silent members; evicted (or wiped) peers
@@ -123,7 +120,6 @@ class TwoLayerRaftSystem {
   /// and runs the rejoin handshake until its subgroup leader configures
   /// it back in and replication (or a snapshot install) catches it up.
   void restart_peer_amnesia(PeerId peer);
-  bool peer_crashed(PeerId peer) const;
 
   // --- Byzantine denunciation --------------------------------------------
   /// Ban a peer attributed as Byzantine by detection: its layers evict it
@@ -172,13 +168,16 @@ class TwoLayerRaftSystem {
   /// subgroup nor the FedAvg layer.
   std::vector<PeerId> pure_followers() const;
 
+  /// Live subgroup leaders other than the FedAvg leader, in subgroup
+  /// order: the FedAvg layer's followers once the system has stabilized.
+  std::vector<PeerId> fedavg_followers() const;
+
   /// Steady state: one live leader per subgroup, a FedAvg leader exists,
   /// and the FedAvg membership is exactly the set of subgroup leaders.
   bool stabilized() const;
 
   /// Access to a peer's Raft instances (tests / integration).
   raft::RaftNode& subgroup_node(PeerId peer);
-  raft::RaftNode* fedavg_node(PeerId peer);
   net::PeerHost& host(PeerId peer);
 
   /// FedAvg configuration a peer learned through its subgroup log (the

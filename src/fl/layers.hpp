@@ -49,9 +49,6 @@ class Dense : public Layer {
   std::span<float> grads() override { return grads_; }
   void init(Rng& rng) override;
 
-  std::size_t in_features() const { return in_; }
-  std::size_t out_features() const { return out_; }
-
  private:
   std::size_t in_, out_;
   std::vector<float> params_;  // weights (out*in) then bias (out)

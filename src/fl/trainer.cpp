@@ -49,20 +49,18 @@ double PeerTrainer::train_round(const TrainOptions& opts) {
   return batches > 0 ? total_loss / static_cast<double>(batches) : 0.0;
 }
 
-EvalResult PeerTrainer::evaluate(const Dataset& test,
-                                 std::size_t max_samples) {
-  return evaluate_model(model_, test, rng_, max_samples);
+EvalResult PeerTrainer::evaluate(const Dataset& test) {
+  return evaluate_model(model_, test, rng_);
 }
 
-EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng,
-                          std::size_t max_samples, std::size_t batch_size) {
+EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng) {
   P2PFL_CHECK(test.size() > 0);
-  const std::size_t total =
-      max_samples > 0 ? std::min(max_samples, test.size()) : test.size();
+  constexpr std::size_t kBatchSize = 100;
+  const std::size_t total = test.size();
   double loss = 0.0;
   std::size_t correct = 0;
-  for (std::size_t off = 0; off < total; off += batch_size) {
-    const std::size_t count = std::min(batch_size, total - off);
+  for (std::size_t off = 0; off < total; off += kBatchSize) {
+    const std::size_t count = std::min(kBatchSize, total - off);
     std::vector<std::size_t> idx(count);
     for (std::size_t i = 0; i < count; ++i) idx[i] = off + i;
     const Tensor x = test.batch(idx);

@@ -42,8 +42,8 @@ class PeerTrainer {
   /// One federated round of local training; returns mean training loss.
   double train_round(const TrainOptions& opts);
 
-  /// Test-set metrics. max_samples > 0 evaluates only a prefix (speed).
-  EvalResult evaluate(const Dataset& test, std::size_t max_samples = 0);
+  /// Test-set metrics over the whole test set.
+  EvalResult evaluate(const Dataset& test);
 
   Model& model() { return model_; }
 
@@ -55,9 +55,8 @@ class PeerTrainer {
   Rng rng_;
 };
 
-/// Stateless evaluation helper shared by experiment harnesses.
-EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng,
-                          std::size_t max_samples = 0,
-                          std::size_t batch_size = 100);
+/// Stateless evaluation helper shared by experiment harnesses: loss and
+/// accuracy over the whole test set.
+EvalResult evaluate_model(Model& model, const Dataset& test, Rng& rng);
 
 }  // namespace p2pfl::fl

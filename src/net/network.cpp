@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "net/sim_transport.hpp"
 
 namespace p2pfl::net {
@@ -70,14 +69,6 @@ Network::Network(std::unique_ptr<Transport> owned, Transport* external,
 }
 
 Network::~Network() { transport_.set_sink(nullptr); }
-
-sim::Simulator& Network::simulator() {
-  sim::Simulator* sim = transport_.simulator();
-  P2PFL_CHECK_MSG(sim != nullptr,
-                  "Network::simulator() called on a non-deterministic "
-                  "transport; simulation-only layers cannot run here");
-  return *sim;
-}
 
 std::size_t Network::envelope_pool_slots() const {
   return sim_transport_ != nullptr ? sim_transport_->envelope_pool_slots() : 0;

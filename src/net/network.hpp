@@ -163,11 +163,6 @@ class Network : public FrameSink {
   /// Root RNG of the backing transport (fork children from it).
   Rng& rng() { return transport_.rng(); }
 
-  /// The simulator behind a sim-backed network. CHECK-fails on a real
-  /// transport — simulation-only layers (chaos engine, scale benches)
-  /// call this; protocol actors must use now()/obs()/rng() instead.
-  sim::Simulator& simulator();
-
   const NetworkConfig& config() const { return cfg_; }
 
   /// Register the handler for a peer. A peer must be attached before it

@@ -3,10 +3,16 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "raft/wire.hpp"
 
 namespace p2pfl::raft {
+
+namespace {
+/// Max log entries shipped per AppendEntries RPC.
+constexpr std::size_t kMaxEntriesPerAppend = 128;
+/// A leader heartbeats three times per minimum election timeout.
+constexpr SimDuration kHeartbeatsPerTimeout = 3;
+}  // namespace
 
 const char* role_name(Role r) {
   switch (r) {
@@ -69,10 +75,6 @@ RaftNode::RaftNode(PeerId id, std::string channel,
       applied_ = log_.snapshot_index();
       adopt_latest_config();
       o.metrics.counter("raft.recoveries").add(1);
-      P2PFL_INFO() << channel_ << " peer " << id_ << " recovered from WAL: term "
-                   << term_ << ", log [" << log_.snapshot_index() + 1 << ", "
-                   << log_.last_index() << "]"
-                   << (info.truncated_tail ? " (torn tail truncated)" : "");
     }
     if (info.truncated_tail) o.metrics.counter("raft.wal_truncations").add(1);
     o.metrics
@@ -239,8 +241,6 @@ void RaftNode::become_follower(Term term, PeerId leader_hint) {
     election_timer_.cancel();
   }
   if (was_leader) {
-    P2PFL_DEBUG() << channel_ << " peer " << id_ << " stepped down (term "
-                  << term_ << ")";
     obs::Observability& o = net_.obs();
     for (const auto& [idx, span] : replicate_spans_) {
       o.spans.close_aborted(span);
@@ -307,8 +307,6 @@ void RaftNode::start_real_election() {
     o.trace.instant("raft", "raft.election_start", id_,
                     {{"channel", channel_}, {"term", term_}});
   }
-  P2PFL_DEBUG() << channel_ << " peer " << id_ << " starts election, term "
-                << term_;
   reset_election_timer();
   if (votes_.size() >= quorum()) {
     become_leader();  // single-member cluster
@@ -349,10 +347,9 @@ void RaftNode::become_leader() {
   persist_append(log_.last_index(), log_.at(log_.last_index()));
   persist_sync();
   match_index_[id_] = log_.last_index();
-  P2PFL_DEBUG() << channel_ << " peer " << id_ << " elected leader, term "
-                << term_;
   broadcast_append();
-  heartbeat_timer_.arm_periodic(opts_.effective_heartbeat());
+  heartbeat_timer_.arm_periodic(opts_.election_timeout_min /
+                                kHeartbeatsPerTimeout);
   if (on_become_leader) on_become_leader();
 }
 
@@ -390,7 +387,7 @@ void RaftNode::send_append(PeerId to) {
   args.leader = id_;
   args.prev_log_index = next - 1;
   args.prev_log_term = log_.term_at(next - 1);
-  args.entries = log_.slice(next, opts_.max_entries_per_append);
+  args.entries = log_.slice(next, kMaxEntriesPerAppend);
   args.leader_commit = commit_;
   const std::uint64_t wire = args.wire_size();
   send_rpc(to, "/ae", std::move(args), wire);
@@ -430,15 +427,12 @@ void RaftNode::handle_request_vote(const RequestVoteArgs& args) {
   // applies the check-quorum form: while a quorum of its followers is in
   // active contact it ignores vote requests too, closing the hole where
   // the removed server's inflated term deposes the leader directly.
-  if (opts_.leader_stickiness) {
-    const bool follower_sticky =
-        role_ == Role::kFollower && last_leader_contact_ >= 0 &&
-        net_.now() - last_leader_contact_ <
-            opts_.election_timeout_min;
-    const bool leader_sticky =
-        role_ == Role::kLeader && quorum_contact_recent();
-    if (follower_sticky || leader_sticky) return;
-  }
+  const bool follower_sticky =
+      role_ == Role::kFollower && last_leader_contact_ >= 0 &&
+      net_.now() - last_leader_contact_ < opts_.election_timeout_min;
+  const bool leader_sticky =
+      role_ == Role::kLeader && quorum_contact_recent();
+  if (follower_sticky || leader_sticky) return;
   if (args.term > term_) become_follower(args.term, kNoPeer);
 
   RequestVoteReply reply;

@@ -10,11 +10,13 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "common/serialize.hpp"
 
 namespace p2pfl::raft {
 namespace {
+
+/// Records larger than this are treated as corruption during recovery.
+constexpr std::uint32_t kMaxRecordBytes = 64u << 20;
 
 // WAL record types (first payload byte).
 constexpr std::uint8_t kTermVote = 1;
@@ -105,12 +107,12 @@ bool read_file(const std::string& path, Bytes& out) {
 
 /// tmp + fsync + rename: the target is either the old file or the new
 /// one, never a torn hybrid.
-void atomic_write(const std::string& path, const Bytes& data, bool do_fsync) {
+void atomic_write(const std::string& path, const Bytes& data) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
   P2PFL_CHECK_MSG(fd >= 0, "raft WAL tmp open failed");
   write_all(fd, data.data(), data.size());
-  if (do_fsync) ::fsync(fd);
+  ::fsync(fd);
   ::close(fd);
   P2PFL_CHECK_MSG(::rename(tmp.c_str(), path.c_str()) == 0,
                   "raft WAL rename failed");
@@ -133,8 +135,7 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-WalStorage::WalStorage(std::string prefix, WalOptions opts)
-    : prefix_(std::move(prefix)), opts_(opts) {}
+WalStorage::WalStorage(std::string prefix) : prefix_(std::move(prefix)) {}
 
 WalStorage::~WalStorage() { close_fd(); }
 
@@ -144,7 +145,7 @@ bool WalStorage::exists(const std::string& prefix) {
 
 void WalStorage::close_fd() {
   if (fd_ >= 0) {
-    if (dirty_ && opts_.fsync) ::fsync(fd_);
+    if (dirty_) ::fsync(fd_);
     ::close(fd_);
     fd_ = -1;
     dirty_ = false;
@@ -175,7 +176,7 @@ PersistentState WalStorage::load() {
     if (read_file(snap_path(), raw) && raw.size() >= 8) {
       const std::uint32_t len = read_u32_le(raw.data());
       const std::uint32_t crc = read_u32_le(raw.data() + 4);
-      if (len <= opts_.max_record_bytes && 8 + len <= raw.size() &&
+      if (len <= kMaxRecordBytes && 8 + len <= raw.size() &&
           crc32(raw.data() + 8, len) == crc) {
         const Bytes payload(raw.begin() + 8, raw.begin() + 8 + len);
         ByteReader r(payload);
@@ -198,7 +199,7 @@ PersistentState WalStorage::load() {
   while (off + 8 <= wal.size()) {
     const std::uint32_t len = read_u32_le(wal.data() + off);
     const std::uint32_t crc = read_u32_le(wal.data() + off + 4);
-    if (len > opts_.max_record_bytes || off + 8 + len > wal.size() ||
+    if (len > kMaxRecordBytes || off + 8 + len > wal.size() ||
         crc32(wal.data() + off + 8, len) != crc) {
       bad_tail = true;
       break;
@@ -280,7 +281,7 @@ PersistentState WalStorage::load() {
     if (fd >= 0) {
       P2PFL_CHECK_MSG(::ftruncate(fd, static_cast<off_t>(off)) == 0,
                       "raft WAL truncate failed");
-      if (opts_.fsync) ::fsync(fd);
+      ::fsync(fd);
       ::close(fd);
     }
   }
@@ -307,9 +308,11 @@ PersistentState WalStorage::load() {
     // older .snap). State below the boundary is gone — the only safe
     // answer is a fresh start; the membership layer treats it as an
     // amnesia restart and rejoins with state transfer.
-    P2PFL_WARN() << "raft WAL " << wal_path() << " references snapshot index "
-                 << st.snap_index
-                 << " but no matching .snap exists; discarding state";
+    std::fprintf(stderr,
+                 "[WARN] raft WAL %s references snapshot index %llu but no "
+                 "matching .snap exists; discarding state\n",
+                 wal_path().c_str(),
+                 static_cast<unsigned long long>(st.snap_index));
     st = PersistentState{};
     ::unlink(wal_path().c_str());
     ::unlink(snap_path().c_str());
@@ -364,7 +367,7 @@ void WalStorage::save_snapshot(Index index, Term term,
     Bytes framed;
     const Bytes payload = w.take();
     append_framed(framed, payload);
-    atomic_write(snap_path(), framed, opts_.fsync);
+    atomic_write(snap_path(), framed);
   }
   // 2. Rewrite the WAL from scratch: term/vote, the snapshot mark, and
   //    the surviving tail. This is what bounds WAL growth.
@@ -381,12 +384,12 @@ void WalStorage::rewrite_wal(const std::vector<Bytes>& payloads) {
   Bytes framed;
   for (const Bytes& p : payloads) append_framed(framed, p);
   close_fd();
-  atomic_write(wal_path(), framed, opts_.fsync);
+  atomic_write(wal_path(), framed);
   open_wal_for_append();
 }
 
 void WalStorage::sync() {
-  if (dirty_ && opts_.fsync && fd_ >= 0) ::fsync(fd_);
+  if (dirty_ && fd_ >= 0) ::fsync(fd_);
   dirty_ = false;
 }
 

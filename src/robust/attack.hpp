@@ -2,9 +2,9 @@
 //
 // An AttackSpec names one adversarial behaviour and its magnitude; a
 // ByzantineRegistry maps peer ids to their currently active spec. The
-// chaos engine activates/deactivates registry entries on plan windows
-// (chaos::ByzantineSpec), and the protocol actors consult the registry
-// at their injection points:
+// caller that sets up a run (p2pflctl attack, bench/attack_sweep, the
+// Byzantine tests) activates registry entries, and the protocol actors
+// consult the registry at their injection points:
 //
 //  * model poisoning (kSignFlip / kScaledUpdate / kRandomNoise /
 //    kConstantDrift) — applied to the local model a peer feeds into the
@@ -56,26 +56,16 @@ const char* attack_name(AttackKind kind);
 /// Inverse of attack_name; returns true and sets `out` on a match.
 bool attack_from_name(const std::string& name, AttackKind& out);
 
-/// Which peers are currently adversarial, and how. Shared by the chaos
-/// engine (writer) and the protocol actors (readers); iteration order
-/// is by peer id, so every sweep over it is deterministic.
+/// Which peers are currently adversarial, and how. Written by the run's
+/// setup, read by the protocol actors.
 class ByzantineRegistry {
  public:
   void activate(PeerId peer, AttackSpec spec) { specs_[peer] = spec; }
-  void deactivate(PeerId peer) { specs_.erase(peer); }
 
   /// Active spec for `peer`, or nullptr when the peer is honest.
   const AttackSpec* spec(PeerId peer) const {
     auto it = specs_.find(peer);
     return it == specs_.end() ? nullptr : &it->second;
-  }
-  bool active(PeerId peer) const { return specs_.count(peer) != 0; }
-  std::size_t active_count() const { return specs_.size(); }
-  std::vector<PeerId> active_peers() const {
-    std::vector<PeerId> out;
-    out.reserve(specs_.size());
-    for (const auto& [p, s] : specs_) out.push_back(p);
-    return out;
   }
 
  private:

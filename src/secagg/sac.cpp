@@ -46,8 +46,7 @@ Vector sac_average(std::span<const Vector> models, Rng& rng,
 
 FtSacResult fault_tolerant_sac_average(
     std::span<const Vector> models, std::size_t k,
-    const std::vector<bool>& crashed_after_sharing, Rng& rng,
-    const SplitOptions& opts) {
+    const std::vector<bool>& crashed_after_sharing, Rng& rng) {
   P2PFL_CHECK(!models.empty());
   const std::size_t n = models.size();
   P2PFL_CHECK(k >= 1 && k <= n);
@@ -65,7 +64,7 @@ FtSacResult fault_tolerant_sac_average(
   shares.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     P2PFL_CHECK(models[i].size() == dim);
-    shares.push_back(divide(models[i], n, rng, opts));
+    shares.push_back(divide(models[i], n, rng));
   }
 
   // Reconstruction: each subtotal must be obtainable from a live holder.

@@ -53,7 +53,6 @@ struct FtSacResult {
 /// Guaranteed ok when alive >= k.
 FtSacResult fault_tolerant_sac_average(
     std::span<const Vector> models, std::size_t k,
-    const std::vector<bool>& crashed_after_sharing, Rng& rng,
-    const SplitOptions& opts = {});
+    const std::vector<bool>& crashed_after_sharing, Rng& rng);
 
 }  // namespace p2pfl::secagg

@@ -1,14 +1,21 @@
 #include "secagg/sac_actor.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/check.hpp"
-#include "common/log.hpp"
 #include "secagg/wire.hpp"
 
 namespace p2pfl::secagg {
 
 namespace {
+
+/// Retry timers double each firing, capped at this multiple of the base
+/// timeout.
+constexpr std::size_t kBackoffCap = 8;
+/// Full cycles through a subtotal's replica holders before the round is
+/// declared unrecoverable.
+constexpr std::size_t kRecoveryPasses = 3;
 
 /// Kind family of a channel ("ml/g3" -> "ml"): the codec-registry key
 /// prefix shared by every channel of the same protocol.
@@ -53,11 +60,6 @@ SacPeer::~SacPeer() {
   }
 }
 
-std::optional<RoundId> SacPeer::active_round() const {
-  if (round_ && !round_->completed) return round_->round;
-  return std::nullopt;
-}
-
 bool SacPeer::is_leader() const {
   return round_ && round_->my_pos == round_->leader_pos;
 }
@@ -69,10 +71,10 @@ std::uint64_t SacPeer::share_wire_bytes(std::size_t dim) const {
 
 SimDuration SacPeer::backoff(SimDuration base, std::size_t step) const {
   std::size_t mult = 1;
-  for (std::size_t i = 0; i < step && mult < opts_.backoff_cap; ++i) {
+  for (std::size_t i = 0; i < step && mult < kBackoffCap; ++i) {
     mult *= 2;
   }
-  if (mult > opts_.backoff_cap) mult = opts_.backoff_cap;
+  if (mult > kBackoffCap) mult = kBackoffCap;
   return base * static_cast<SimDuration>(mult);
 }
 
@@ -130,7 +132,7 @@ void SacPeer::begin_round(RoundId round, Vector model,
   // share links and any synchronous completion chain to it.
   obs::SpanStackScope share_scope(o.spans, round_->share_span);
 
-  round_->shares = divide(model, round_->n, rng_, opts_.split);
+  round_->shares = divide(model, round_->n, rng_);
   const std::vector<Vector>& shares = round_->shares;
   const std::size_t n = round_->n;
   const std::size_t k = round_->k;
@@ -532,8 +534,6 @@ void SacPeer::on_share_timer() {
       for (std::size_t p = 0; p < st.n; ++p) {
         if (!st.got_share_from[p]) missing.push_back(p);
       }
-      P2PFL_DEBUG() << channel_ << " leader " << id_ << ": share phase timed"
-                    << " out, " << missing.size() << " silent peers";
       o.metrics.counter("sac.share_timeouts").add(1);
       if (on_share_timeout) on_share_timeout(st.round, missing);
     } else {
@@ -610,9 +610,11 @@ void SacPeer::request_missing_subtotals() {
                   holders.end());
     std::size_t& attempt = st.recovery_attempts[idx];
     if (holders.empty() ||
-        attempt >= holders.size() * opts_.recovery_passes) {
-      P2PFL_WARN() << channel_ << " round " << st.round << ": subtotal "
-                   << idx << " unrecoverable";
+        attempt >= holders.size() * kRecoveryPasses) {
+      std::fprintf(stderr,
+                   "[WARN] %s round %llu: subtotal %zu unrecoverable\n",
+                   channel_.c_str(),
+                   static_cast<unsigned long long>(st.round), idx);
       net_.obs().metrics.counter("sac.unrecoverable").add(1);
       if (on_unrecoverable) on_unrecoverable(st.round);
       return;

@@ -26,14 +26,16 @@ std::vector<Vector> divide_proportional(std::span<const float> secret,
   return shares;
 }
 
+/// Mask amplitude of kUniformMask: masks are drawn from U(-1, 1).
+constexpr double kMaskRange = 1.0;
+
 std::vector<Vector> divide_uniform_mask(std::span<const float> secret,
-                                        std::size_t n, Rng& rng,
-                                        double range) {
+                                        std::size_t n, Rng& rng) {
   std::vector<Vector> shares(n, Vector(secret.size()));
   for (std::size_t e = 0; e < secret.size(); ++e) {
     double acc = 0.0;
     for (std::size_t i = 0; i + 1 < n; ++i) {
-      const double mask = rng.uniform(-range, range);
+      const double mask = rng.uniform(-kMaskRange, kMaskRange);
       shares[i][e] = static_cast<float>(mask);
       acc += static_cast<double>(shares[i][e]);
     }
@@ -51,7 +53,7 @@ std::vector<Vector> divide(std::span<const float> secret, std::size_t n,
     case SplitScheme::kProportional:
       return divide_proportional(secret, n, rng);
     case SplitScheme::kUniformMask:
-      return divide_uniform_mask(secret, n, rng, opts.mask_range);
+      return divide_uniform_mask(secret, n, rng);
   }
   P2PFL_CHECK_MSG(false, "unknown split scheme");
   return {};

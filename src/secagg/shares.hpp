@@ -38,8 +38,6 @@ enum class SplitScheme {
 
 struct SplitOptions {
   SplitScheme scheme = SplitScheme::kProportional;
-  /// Mask amplitude for kUniformMask.
-  double mask_range = 1.0;
 };
 
 /// Split `secret` into n shares that sum (exactly up to FP rounding) to

@@ -8,7 +8,6 @@
 #include <set>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "net/mux.hpp"
 #include "net/sim_transport.hpp"
@@ -110,18 +109,6 @@ TEST(Parallel, PoolResizesBetweenCalls) {
     EXPECT_LE(threads.size(), workers);
   }
   set_parallel_workers(0);
-}
-
-TEST(Log, LevelGatingAndRestore) {
-  const LogLevel old_level = Log::level();
-  Log::set_level(LogLevel::kError);
-  EXPECT_FALSE(Log::enabled(LogLevel::kDebug));
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  Log::set_level(LogLevel::kOff);
-  EXPECT_FALSE(Log::enabled(LogLevel::kError));
-  // Streaming through a disabled level must not crash or emit.
-  P2PFL_ERROR() << "suppressed " << 42;
-  Log::set_level(old_level);
 }
 
 TEST(Timer, PeriodicThenOneShotSwitch) {

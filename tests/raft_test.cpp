@@ -422,6 +422,47 @@ TEST(Raft, NonMemberNeverCampaigns) {
   EXPECT_EQ(node.current_term(), 0u);
 }
 
+TEST(Raft, LeaderStickinessIgnoresVoteRequestsFromOutsideTheCluster) {
+  // §4.2.3: a server outside the configuration (one just removed, say)
+  // campaigns with an inflated term and the most up-to-date log. A
+  // follower that heard from the leader within the minimum election
+  // timeout, and a leader with quorum contact, drop the request without
+  // adopting its term, so the healthy cluster is not disrupted.
+  Cluster c(3);
+  constexpr PeerId kOutsider = 7;
+  net::PeerHost outsider;
+  std::size_t replies = 0;
+  outsider.route("raft/test/rvr", [&](const net::Envelope&) { ++replies; });
+  c.net.attach(kOutsider, &outsider);
+  c.start_all();
+  c.run_for(2 * kSecond);
+  RaftNode* leader = c.leader();
+  ASSERT_NE(leader, nullptr);
+  RaftNode* follower = c.nodes[leader->id() == 0 ? 1 : 0].get();
+  const Term term = leader->current_term();
+  ASSERT_GE(follower->last_leader_contact(), 0);
+  ASSERT_LT(c.sim.now() - follower->last_leader_contact(),
+            150 * kMillisecond);
+  ASSERT_TRUE(leader->quorum_contact_recent());
+
+  RequestVoteArgs rv;
+  rv.term = term + 3;
+  rv.candidate = kOutsider;
+  rv.last_log_index = 1000;
+  rv.last_log_term = term + 3;
+  for (const RaftNode* target : {follower, leader}) {
+    c.net.send(kOutsider, target->id(), "raft/test/rv", rv,
+               RequestVoteArgs::kWireSize);
+  }
+  c.run_for(100 * kMillisecond);
+
+  EXPECT_EQ(replies, 0u);
+  for (const auto& n : c.nodes) EXPECT_EQ(n->current_term(), term);
+  EXPECT_EQ(c.leader(), leader);
+  EXPECT_EQ(leader->role(), Role::kLeader);
+  c.expect_election_safety();
+}
+
 TEST(Raft, MetricsCountElections) {
   Cluster c(3);
   c.start_all();

@@ -193,9 +193,9 @@ TEST(TcpTransport, SelfSendDeliversWithoutWireAccounting) {
 
 TEST(TcpTransport, LargeFrameSurvivesPartialWrites) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
+  CollectingEndpoint e0, e1;  // outlive the network
   Network net(t, {});
-  CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   // ~4 MB of floats: far beyond any socket buffer, so the loop must
@@ -214,9 +214,9 @@ TEST(TcpTransport, LargeFrameSurvivesPartialWrites) {
 
 TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
+  CollectingEndpoint e0, e1;  // outlive the network
   Network net(t, {});
-  CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
@@ -239,9 +239,9 @@ TEST(TcpTransport, ReconnectsAndFlushesAfterConnectionLoss) {
 
 TEST(TcpTransport, InjectedConnectionResetHealsWithoutLoss) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
+  CollectingEndpoint e0, e1;  // outlive the network
   Network net(t, {});
-  CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
@@ -266,9 +266,9 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
   TcpTransportConfig cfg{.peers = {0, 1}, .seed = 7};
   cfg.max_outq_frames = 4;
   TcpTransport t(cfg);
+  CollectingEndpoint e0, e1;  // outlive the network
   Network net(t, {});
-  CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
 
@@ -304,9 +304,9 @@ TEST(TcpTransport, BoundedOutqDropsOldestUnderStall) {
 
 TEST(TcpTransport, OversizeFramePoisonsOnlyThatConnection) {
   TcpTransport t({.peers = {0, 1}, .seed = 7});
+  CollectingEndpoint e0, e1;  // outlive the network
   Network net(t, {});
-  CollectingEndpoint e1;
-  net.attach(0, new CollectingEndpoint);  // leaked: trivial test scope
+  net.attach(0, &e0);
   net.attach(1, &e1);
   t.start();
   t.call([&] { net.send(result_envelope(0, 1, 4, 1)); });
