@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "secagg/pairwise_mask.hpp"
 #include "secagg/ring.hpp"
 #include "secagg/sac.hpp"
@@ -154,6 +155,24 @@ void BM_DivideUniformMask(benchmark::State& state) {
                           state.range(0) * 4);
 }
 BENCHMARK(BM_DivideUniformMask)->Arg(1 << 12)->Arg(1 << 16);
+
+// Alg. 1 at the paper CNN's size (467,818 floats) into n = 3 shares, on
+// `workers` pool threads; s_per_float is wall time per model float.
+void BM_DividePaperCnn(benchmark::State& state) {
+  constexpr std::size_t kPaperCnnFloats = 467818;
+  set_parallel_workers(static_cast<std::size_t>(state.range(0)));
+  Rng rng(1);
+  const Vector model = random_model(kPaperCnnFloats, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(secagg::divide(model, 3, rng));
+  }
+  set_parallel_workers(0);
+  state.counters["s_per_float"] = benchmark::Counter(
+      static_cast<double>(kPaperCnnFloats),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DividePaperCnn)->ArgName("workers")->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_RingDivide(benchmark::State& state) {
   Rng rng(1);

@@ -456,10 +456,9 @@ void wipe_wal_dir(const std::string& dir) {
 }
 
 /// Append the durability/fault-injection metrics sub-object to an open
-/// JSON document: every `raft.*` counter, every `chaos.transport.*`
-/// counter, and a summary of the `raft.recovery_ms` histogram. The
-/// names are exactly the registry names, so a dashboard can join this
-/// against a metrics JSONL dump.
+/// JSON document: every `raft.*`, `chaos.transport.*`, `net.tcp.*` and
+/// `membership.*` counter. The names are exactly the registry names, so
+/// a dashboard can join this against a metrics JSONL dump.
 void durability_metrics_json(bench::JsonWriter& w,
                              const obs::MetricsRegistry& metrics) {
   w.key("metrics").object_begin();
@@ -470,15 +469,6 @@ void durability_metrics_json(bench::JsonWriter& w,
         name.rfind("membership.", 0) == 0) {
       w.field_u64(name, c.value());
     }
-  }
-  for (const auto& [name, h] : metrics.histograms()) {
-    if (name != "raft.recovery_ms" || h.count() == 0) continue;
-    w.key(name)
-        .object_begin()
-        .field_u64("count", h.count())
-        .field_double("mean", h.mean(), "%.3f")
-        .field_double("max", h.max(), "%.3f")
-        .object_end();
   }
   w.object_end();
 }

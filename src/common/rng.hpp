@@ -1,10 +1,14 @@
 // Deterministic random number generation.
 //
-// Every stochastic component (election timeouts, secret-share splits,
-// synthetic datasets, dropout injection) draws from an Rng that is seeded
-// explicitly, so whole experiments replay bit-identically from one seed.
-// Child generators are derived with SplitMix64 so independent components
-// never share a stream.
+// Every stochastic component (election timeouts, synthetic datasets,
+// dropout injection) draws from an Rng that is seeded explicitly, so
+// whole experiments replay bit-identically from one seed. Child
+// generators are derived with SplitMix64 so independent components never
+// share a stream. A secret-share split draws only a key from its caller's
+// Rng and reads every per-element draw from the counter stream keyed by
+// it (Rng::keyed): one draw from the caller whatever the model size, and
+// the elements can be split on any number of threads. None of these
+// generators is a cryptographic PRG.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +49,26 @@ class Rng {
 
   std::uint64_t next_u64() { return engine_(); }
 
+  /// Draw `ctr` of the counter stream keyed by `key`: SplitMix64 at state
+  /// key + (ctr + 1)·γ. A pure function of its arguments, so a stream can
+  /// be read at any position, from any thread, in any order.
+  static std::uint64_t keyed(std::uint64_t key, std::uint64_t ctr) {
+    return mix(key + ctr * kGamma);
+  }
+
   /// The underlying engine, for use with <random> distributions.
   std::mt19937_64& engine() { return engine_; }
 
  private:
-  static std::uint64_t mix(std::uint64_t x);
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
+  /// SplitMix64 finalizer: turns correlated seeds into well-spread states.
+  static std::uint64_t mix(std::uint64_t x) {
+    x += kGamma;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
 
   std::uint64_t root_seed_ = 0;
   std::mt19937_64 engine_;

@@ -249,12 +249,11 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   return y;
 }
 
-Tensor Dense::backward(const Tensor& grad_out) {
+void Dense::backward_params(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   P2PFL_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_);
   P2PFL_CHECK(grad_out.dim(0) == x.dim(0));
   const std::size_t batch = x.dim(0);
-  const float* w = params_.data();
   float* gw = grads_.data();
   float* gb = grads_.data() + out_ * in_;
 
@@ -271,7 +270,12 @@ Tensor Dense::backward(const Tensor& grad_out) {
       }
     }
   });
+}
 
+Tensor Dense::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
+  const std::size_t batch = grad_out.dim(0);
+  const float* w = params_.data();
   Tensor gx({batch, in_});
   parallel_for_chunked(0, batch, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
@@ -394,29 +398,17 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/, Rng& /*rng*/) {
   return y;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+void Conv2d::backward_params(const Tensor& grad_out) {
   const Tensor& x = cached_input_;
   const std::size_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
   P2PFL_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
               grad_out.dim(1) == filters_ && grad_out.dim(2) == h &&
               grad_out.dim(3) == w);
   const std::size_t hw = h * w, kk = k_ * k_, ckk = in_c_ * kk;
-  // Channels-last copies: xT[s][p][c] and wT[f][ky][kx][c].
-  std::vector<float> xt(batch * hw * in_c_), wt(filters_ * ckk);
+  // Channels-last copy of the input: xT[s][p][c].
+  std::vector<float> xt(batch * hw * in_c_);
   parallel_for(0, batch, [&](std::size_t s) {
     transpose(x.data() + s * in_c_ * hw, in_c_, hw, xt.data() + s * hw * in_c_);
-  });
-  for (std::size_t f = 0; f < filters_; ++f) {
-    transpose(params_.data() + f * ckk, in_c_, kk, wt.data() + f * ckk);
-  }
-
-  // Input gradient: one sample per task.
-  Tensor gx({batch, in_c_, h, w});
-  parallel_for(0, batch, [&](std::size_t s) {
-    std::vector<float> gxt(hw * in_c_, 0.0f);
-    conv_input_grad(grad_out.data() + s * filters_ * hw, wt.data(),
-                    gxt.data(), filters_, in_c_, h, w, k_);
-    transpose(gxt.data(), hw, in_c_, gx.data() + s * in_c_ * hw);
   });
 
   // Weight and bias gradients: one filter per task, accumulated onto the
@@ -429,6 +421,27 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     conv_filter_grad(grad_out.data(), xt.data(), gwt.data(), gb + f, batch,
                      filters_, f, in_c_, h, w, k_);
     transpose(gwt.data(), kk, in_c_, gwf);
+  });
+}
+
+Tensor Conv2d::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
+  const std::size_t batch = grad_out.dim(0), h = grad_out.dim(2),
+                    w = grad_out.dim(3);
+  const std::size_t hw = h * w, kk = k_ * k_, ckk = in_c_ * kk;
+  // Channels-last copy of the weights: wT[f][ky][kx][c].
+  std::vector<float> wt(filters_ * ckk);
+  for (std::size_t f = 0; f < filters_; ++f) {
+    transpose(params_.data() + f * ckk, in_c_, kk, wt.data() + f * ckk);
+  }
+
+  // Input gradient: one sample per task.
+  Tensor gx({batch, in_c_, h, w});
+  parallel_for(0, batch, [&](std::size_t s) {
+    std::vector<float> gxt(hw * in_c_, 0.0f);
+    conv_input_grad(grad_out.data() + s * filters_ * hw, wt.data(),
+                    gxt.data(), filters_, in_c_, h, w, k_);
+    transpose(gxt.data(), hw, in_c_, gx.data() + s * in_c_ * hw);
   });
   return gx;
 }

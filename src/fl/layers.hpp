@@ -2,8 +2,9 @@
 //
 // Each layer owns its parameters and gradient buffers and implements
 // forward (caching what backward needs) and backward (returning the
-// input gradient and accumulating parameter gradients). Layers are
-// stateful per model instance — one model per peer, as in the paper.
+// input gradient and accumulating parameter gradients); Conv2d and Dense
+// skip the input gradient when they are a model's first layer. Layers
+// are stateful per model instance — one model per peer, as in the paper.
 #pragma once
 
 #include <memory>
@@ -27,6 +28,13 @@ class Layer {
   /// Gradient w.r.t. this layer's input; accumulates parameter grads.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
+  /// Accumulates parameter grads only: the backward pass of a model's
+  /// first layer, whose input gradient nothing reads. The default runs
+  /// backward() and drops the input gradient.
+  virtual void backward_params(const Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Flat views of parameters / their gradients (empty if stateless).
   virtual std::span<float> params() { return {}; }
   virtual std::span<float> grads() { return {}; }
@@ -45,6 +53,7 @@ class Dense : public Layer {
   std::string name() const override { return "dense"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::span<float> params() override { return params_; }
   std::span<float> grads() override { return grads_; }
   void init(Rng& rng) override;
@@ -93,6 +102,7 @@ class Conv2d : public Layer {
   std::string name() const override { return "conv2d"; }
   Tensor forward(const Tensor& x, bool train, Rng& rng) override;
   Tensor backward(const Tensor& grad_out) override;
+  void backward_params(const Tensor& grad_out) override;
   std::span<float> params() override { return params_; }
   std::span<float> grads() override { return grads_; }
   void init(Rng& rng) override;

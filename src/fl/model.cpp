@@ -1,5 +1,7 @@
 #include "fl/model.hpp"
 
+#include <iterator>
+
 #include "common/check.hpp"
 
 namespace p2pfl::fl {
@@ -20,10 +22,13 @@ Tensor Model::forward(const Tensor& x, bool train, Rng& rng) {
 }
 
 void Model::backward(const Tensor& grad) {
+  if (layers_.empty()) return;
   Tensor g = grad;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  for (auto it = layers_.rbegin(); std::next(it) != layers_.rend(); ++it) {
     g = (*it)->backward(g);
   }
+  // Nothing reads the gradient w.r.t. the input data.
+  layers_.front()->backward_params(g);
 }
 
 std::size_t Model::param_count() const {

@@ -77,10 +77,6 @@ RaftNode::RaftNode(PeerId id, std::string channel,
       o.metrics.counter("raft.recoveries").add(1);
     }
     if (info.truncated_tail) o.metrics.counter("raft.wal_truncations").add(1);
-    o.metrics
-        .histogram("raft.recovery_ms",
-                   obs::Histogram::exponential_bounds(0.01, 2.0, 20))
-        .record(info.duration_ms);
   }
   wire::register_codecs();
   // One typed route per RPC kind: the payload arrives as the exact

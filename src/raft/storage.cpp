@@ -5,7 +5,6 @@
 
 #include <array>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -159,7 +158,6 @@ void WalStorage::open_wal_for_append() {
 }
 
 PersistentState WalStorage::load() {
-  const auto t0 = std::chrono::steady_clock::now();
   close_fd();
   recovery_ = RecoveryInfo{};
   PersistentState st;
@@ -323,10 +321,6 @@ PersistentState WalStorage::load() {
       (had_wal && recovery_.records > 0) || recovery_.snapshot_loaded;
   recovery_.recovered = st.has_state;
   open_wal_for_append();
-  recovery_.duration_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
   return st;
 }
 

@@ -50,7 +50,6 @@ struct RecoveryInfo {
   bool snapshot_loaded = false;
   std::uint64_t records = 0;          ///< valid WAL records replayed
   std::uint64_t bytes_discarded = 0;  ///< bytes dropped by truncation
-  double duration_ms = 0.0;           ///< wall-clock load time
 };
 
 /// Persistence seam RaftNode writes through. A null Storage* keeps the

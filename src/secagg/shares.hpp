@@ -14,6 +14,14 @@
 //    because it is the textbook additive scheme ([13] in the paper) and
 //    has better numerical behaviour for large N.
 //
+// Randomness: a split draws one key from the caller's Rng (so it advances
+// that stream by exactly one draw, whatever the model size) and gives
+// element e, share i draw e*n + i of the SplitMix64 counter stream keyed
+// by it (Rng::keyed). The elements are split in fixed chunks on the
+// worker pool (common/parallel.hpp); shares are bit-identical at any
+// worker count. The stream is not a cryptographic PRG (see DESIGN.md,
+// "Threat model").
+//
 // Shares are the unit of the k-out-of-n replication in Alg. 4: share
 // *placement* (which consecutive shares go to which peer) lives in
 // sac.hpp; this header only creates and sums shares.

@@ -1,7 +1,8 @@
 // Bit-identity of the Conv2d and Dense kernels against the scalar direct
 // kernels they replaced (reference_kernels.hpp): forward output, input
-// gradient, weight and bias gradients, across shapes, gradient sparsity,
-// two backward passes in a row and every worker count.
+// gradient, weight and bias gradients (from backward and from the
+// parameter-only backward_params), across shapes, gradient sparsity, two
+// backward passes in a row and every worker count.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -89,6 +90,12 @@ void check_conv(std::size_t batch, std::size_t c, std::size_t h,
     const Tensor gx2 = conv.backward(tensor({batch, filters, h, w}, g2));
     EXPECT_TRUE(same_bits(gx2.flat(), want_gx2)) << "input grad, pass 2";
     EXPECT_TRUE(same_bits(conv.grads(), want_gw)) << "param grads, pass 2";
+    // The first-layer pass: the same parameter grads, no input gradient.
+    std::copy(grads0.begin(), grads0.end(), conv.grads().begin());
+    conv.backward_params(tensor({batch, filters, h, w}, g1));
+    EXPECT_TRUE(same_bits(conv.grads(), want_gw1)) << "param-only, pass 1";
+    conv.backward_params(tensor({batch, filters, h, w}, g2));
+    EXPECT_TRUE(same_bits(conv.grads(), want_gw)) << "param-only, pass 2";
   }
 }
 
@@ -159,6 +166,11 @@ TEST_F(ConvKernel, DenseMatchesReferenceBitForBit) {
           const Tensor gx2 = dense.backward(tensor({batch, out}, g2));
           EXPECT_TRUE(same_bits(gx2.flat(), want_gx2)) << "input grad, 2";
           EXPECT_TRUE(same_bits(dense.grads(), want_gw)) << "grads, 2";
+          std::copy(grads0.begin(), grads0.end(), dense.grads().begin());
+          dense.backward_params(tensor({batch, out}, g1));
+          EXPECT_TRUE(same_bits(dense.grads(), want_gw1)) << "param-only, 1";
+          dense.backward_params(tensor({batch, out}, g2));
+          EXPECT_TRUE(same_bits(dense.grads(), want_gw)) << "param-only, 2";
         }
       }
     }

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/parallel.hpp"
 #include "secagg/sac.hpp"
 #include "secagg/shares.hpp"
 
@@ -88,6 +90,95 @@ TEST(Divide, DeterministicGivenRngState) {
   const auto sa = divide(secret, 3, a);
   const auto sb = divide(secret, 3, b);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(sa[i], sb[i]);
+}
+
+const SplitScheme kSchemes[] = {SplitScheme::kProportional,
+                                SplitScheme::kUniformMask};
+
+struct RestoreWorkers {
+  ~RestoreWorkers() { set_parallel_workers(0); }
+};
+
+TEST(Divide, BitIdenticalAcrossWorkerCounts) {
+  RestoreWorkers restore;
+  // Around one 16,384-element chunk, and the paper CNN's size.
+  for (std::size_t size : {0u, 1u, 4u, 16383u, 16384u, 16385u, 467818u}) {
+    Rng data(21);
+    const Vector secret = random_vector(size, data);
+    for (SplitScheme scheme : kSchemes) {
+      SCOPED_TRACE(::testing::Message() << "size=" << size << " scheme="
+                                        << static_cast<int>(scheme));
+      std::vector<Vector> want;
+      for (std::size_t workers : {1u, 2u, 3u, 4u}) {
+        set_parallel_workers(workers);
+        Rng rng(22);
+        const auto shares = divide(secret, 3, rng, {.scheme = scheme});
+        if (want.empty()) want = shares;
+        ASSERT_EQ(shares.size(), want.size());
+        for (std::size_t i = 0; i < shares.size(); ++i) {
+          ASSERT_EQ(shares[i].size(), size);
+          EXPECT_TRUE(size == 0 ||
+                      std::memcmp(shares[i].data(), want[i].data(),
+                                  size * sizeof(float)) == 0)
+              << "share " << i << " at " << workers << " workers";
+        }
+      }
+    }
+  }
+}
+
+TEST(Divide, AdvancesRngByOneDrawWhateverTheSize) {
+  for (std::size_t size : {4u, 467818u}) {
+    Rng data(23);
+    const Vector secret = random_vector(size, data);
+    for (SplitScheme scheme : kSchemes) {
+      Rng rng(24), copy(24);
+      (void)divide(secret, 3, rng, {.scheme = scheme});
+      (void)copy.next_u64();
+      EXPECT_EQ(rng.next_u64(), copy.next_u64()) << "size=" << size;
+    }
+  }
+}
+
+TEST(Divide, FractionsAndMasksStayInRange) {
+  Rng data(25);
+  const Vector secret = random_vector(50000, data);
+  // Float rounding of a share, relative to its exact value.
+  const double slack = std::ldexp(1.0, -23);
+  for (std::size_t n : {2u, 3u, 5u, 10u}) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Rng rng(26);
+    // Fractions are drawn from [0.05, 1) and normalised, so share i's
+    // part of the secret lies between one fraction at the floor against
+    // n-1 at the ceiling and the reverse.
+    const double m = static_cast<double>(n - 1);
+    const double lo = 0.05 / (0.05 + m) * (1.0 - slack);
+    const double hi = 1.0 / (1.0 + 0.05 * m) * (1.0 + slack);
+    const auto shares = divide(secret, n, rng);
+    std::size_t out_of_range = 0;
+    for (const Vector& s : shares) {
+      for (std::size_t e = 0; e < secret.size(); ++e) {
+        if (secret[e] == 0.0f) continue;
+        const double part =
+            static_cast<double>(s[e]) / static_cast<double>(secret[e]);
+        if (part < lo || part > hi) ++out_of_range;
+      }
+    }
+    EXPECT_EQ(out_of_range, 0u) << "proportional parts outside [" << lo
+                                << ", " << hi << "]";
+
+    // Masks are drawn from [-1, 1); narrowing one to float can round it
+    // up to exactly 1.
+    const auto masked =
+        divide(secret, n, rng, {.scheme = SplitScheme::kUniformMask});
+    std::size_t bad_masks = 0;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      for (float x : masked[i]) {
+        if (!(x >= -1.0f && x <= 1.0f)) ++bad_masks;
+      }
+    }
+    EXPECT_EQ(bad_masks, 0u);
+  }
 }
 
 // --- placement ----------------------------------------------------------------
